@@ -66,11 +66,7 @@ def wba_doubling_residual(trajectory):
     n = trajectory.length
     if n < 2 or n % 2 != 0:
         raise ContractViolation(f"need an even trajectory length >= 2, got {n}")
-    half = n // 2
-    w = bump_weights(half)
-    a = trajectory.samples
-    diff = w @ (a[:half] - a[half:])
-    return float(np.linalg.norm(diff))
+    return wba_doubling_residual_at(trajectory.samples, n // 2)
 
 
 def wba_doubling_residual_at(samples, half):
@@ -83,12 +79,3 @@ def wba_doubling_residual_at(samples, half):
     w = bump_weights(half)
     diff = w @ (samples[:half] - samples[half:2 * half])
     return float(np.linalg.norm(diff))
-
-
-def trajectory_weighted_average(dynamical_map, observable, x0, n, escape_bound=None):
-    """Weighted Birkhoff average of an observable along a fresh orbit."""
-    from .maps import sample_trajectory, DEFAULT_ESCAPE_BOUND
-
-    bound = DEFAULT_ESCAPE_BOUND if escape_bound is None else escape_bound
-    traj = sample_trajectory(dynamical_map, observable, x0, n, escape_bound=bound)
-    return weighted_average(traj, bump_weights(n))

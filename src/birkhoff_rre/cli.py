@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 partial per-seed
 failures (or a failed figure2 check).  Output files are deterministic
-for a given configuration; the worker count (including the
-BIRKHOFF_RRE_WORKERS override) never changes their contents.
+for a given configuration at a fixed BLAS thread count; the worker count
+(including the BIRKHOFF_RRE_WORKERS override) never changes their
+contents.  A different BLAS thread count can change trailing float
+digits.
 """
 
 import argparse

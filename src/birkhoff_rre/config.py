@@ -6,8 +6,9 @@ main field hazard for batch runs.
 """
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
@@ -55,6 +56,11 @@ class RunConfig:
             self.delta_chaos = self.delta_adapt
 
     def validate(self):
+        for name in (f.name for f in fields(self) if f.type is float):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(c) for seed in self.seeds for c in seed):
+            raise ConfigError("seed coordinates must be finite")
         if self.map_name != "standard-map":
             raise ConfigError(f"unknown map {self.map_name!r}")
         if self.observable not in ("embedding", "identity", "x", "y"):
@@ -64,9 +70,14 @@ class RunConfig:
         if self.epsilon < 0:
             raise ConfigError("epsilon must be >= 0")
         for name in ("delta_adapt", "delta_chaos", "eps_rat", "unit_circle_tol",
-                     "gamma_max", "escape_bound"):
+                     "escape_bound"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
+        if not 0.0 < self.gamma_max <= 0.5:
+            raise ConfigError("gamma_max must be in (0, 0.5]")
+        for name, least in (("p_max", 1), ("top_modes", 1), ("validation_j", 8)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.k_init > self.k_max:
             raise ConfigError(f"k_init {self.k_init} exceeds k_max {self.k_max}")
         if self.delta_k < 1 or self.k_init < 1:

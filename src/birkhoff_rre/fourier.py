@@ -29,7 +29,10 @@ class FourierCircle:
     ``coefficients`` has shape (2L+1, p*D); row l+L holds mode l, and
     the D columns starting at (j-1)*D hold island component j.
     ``reality_defect`` records max |V_{-l} - conj(V_l)|, which is at
-    roundoff level for real signals.
+    roundoff level for real signals.  ``condition_estimate`` is the
+    Gershgorin upper bound on the weighted basis' condition number (see
+    condition_bound), inf when that bound fails; ``ill_conditioned``
+    marks a bound above CONDITION_WARNING.
     """
 
     period: int
@@ -46,6 +49,23 @@ class FourierCircle:
         return float(np.abs(v[::-1].conj() - v).max())
 
 
+def _gamma_sums(window, omega, terms):
+    """Yield gamma_m = sum_{n=1}^{m} |eta_n| for m = 1 .. terms.
+
+    eta_n = sum_{t=0}^{window} w_{t,window+1} e^{2 pi i omega n t} are the
+    off-diagonal entries of the projection's Toeplitz normal matrix; the
+    phases advance by repeated multiplication.
+    """
+    w = bump_weights(window + 1)
+    base = np.exp(2j * math.pi * omega * np.arange(window + 1))
+    phase = np.ones(window + 1, dtype=complex)
+    acc = 0.0
+    for _ in range(terms):
+        phase = phase * base
+        acc += abs(np.dot(w, phase))
+        yield acc
+
+
 def choose_num_modes(window, omega, gamma_max=DEFAULT_GAMMA_MAX):
     """Largest L whose projection stays provably well conditioned.
 
@@ -60,18 +80,9 @@ def choose_num_modes(window, omega, gamma_max=DEFAULT_GAMMA_MAX):
         raise ContractViolation(f"need gamma_max in (0, 1/2], got {gamma_max}")
     if window < 2:
         raise ContractViolation(f"need window >= 2, got {window}")
-    n_samples = window + 1
-    w = bump_weights(n_samples)
-    t = np.arange(n_samples)
-    cap = (window - 1) // 2
-    base = np.exp(2j * math.pi * omega * t)
-    phase = np.ones(n_samples, dtype=complex)
     best = 0
-    acc = 0.0
-    for n in range(1, 2 * cap + 1):
-        phase = phase * base
-        acc += abs(np.dot(w, phase))
-        if acc >= gamma_max:
+    for n, gamma in enumerate(_gamma_sums(window, omega, 2 * ((window - 1) // 2)), 1):
+        if gamma >= gamma_max:
             break
         if n % 2 == 0:
             best = n // 2
@@ -79,16 +90,14 @@ def choose_num_modes(window, omega, gamma_max=DEFAULT_GAMMA_MAX):
 
 
 def condition_bound(window, omega, num_modes):
-    """Gershgorin bound sqrt((1+2g)/(1-2g)) for the projection at L."""
-    n_samples = window + 1
-    w = bump_weights(n_samples)
-    t = np.arange(n_samples)
-    acc = 0.0
-    for n in range(1, 2 * num_modes + 1):
-        acc += abs(np.dot(w, np.exp(2j * math.pi * omega * n * t)))
-    if 2.0 * acc >= 1.0:
+    """Gershgorin bound sqrt((1+2g)/(1-2g)) for the projection at L.
+
+    Returns inf when 2g >= 1, where the bound says nothing.
+    """
+    gamma = max(_gamma_sums(window, omega, 2 * num_modes), default=0.0)  # sums only grow
+    if 2.0 * gamma >= 1.0:
         return math.inf
-    return math.sqrt((1.0 + 2.0 * acc) / (1.0 - 2.0 * acc))
+    return math.sqrt((1.0 + 2.0 * gamma) / (1.0 - 2.0 * gamma))
 
 
 def project_circle(trajectory, omega, num_modes, period=1):
@@ -114,9 +123,8 @@ def project_circle(trajectory, omega, num_modes, period=1):
     basis = modes[None, :] ** np.arange(n)[:, None]
     sqrt_w = np.sqrt(bump_weights(n))[:, None]
     weighted = sqrt_w * basis
-    coeffs = complex_least_squares_solve(weighted, sqrt_w * a)
-    coeffs = np.atleast_2d(coeffs)
-    cond = float(np.linalg.cond(weighted))
+    coeffs, _ = complex_least_squares_solve(weighted, sqrt_w * a)
+    cond = condition_bound(n - 1, omega, l)
     return FourierCircle(
         period=period,
         rotation=float(omega),
@@ -131,8 +139,10 @@ def project_circle(trajectory, omega, num_modes, period=1):
 def eval_circle(circle, component, theta):
     """Real value of island component j at angle theta in [0, 1).
 
-    Components are 1-indexed (1 <= j <= period).  The imaginary residue
-    discarded here is bounded by the circle's reality defect.
+    Components are 1-indexed (1 <= j <= period).  ``theta`` is a scalar,
+    giving one value of shape (D,), or an array of angles, giving one
+    row per angle.  The imaginary residue discarded here is bounded by
+    the circle's reality defect.
     """
     if not 1 <= component <= circle.period:
         raise ContractViolation(
@@ -141,21 +151,8 @@ def eval_circle(circle, component, theta):
     l = circle.num_modes
     d = circle.dimension
     block = circle.coefficients[:, (component - 1) * d:component * d]
-    phases = np.exp(2j * math.pi * theta * (np.arange(2 * l + 1) - l))
-    return (phases @ block).real
-
-
-def eval_circle_grid(circle, component, thetas):
-    """Vectorized eval_circle over an array of angles."""
-    if not 1 <= component <= circle.period:
-        raise ContractViolation(
-            f"component {component} out of range 1..{circle.period}"
-        )
-    l = circle.num_modes
-    d = circle.dimension
-    block = circle.coefficients[:, (component - 1) * d:component * d]
-    thetas = np.asarray(thetas, dtype=float)
-    phases = np.exp(2j * math.pi * np.outer(thetas, np.arange(2 * l + 1) - l))
+    thetas = np.asarray(theta, dtype=float)
+    phases = np.exp(2j * math.pi * np.multiply.outer(thetas, np.arange(2 * l + 1) - l))
     return (phases @ block).real
 
 
@@ -191,8 +188,8 @@ def validation_residual(circle, advance, grid_size=DEFAULT_VALIDATION_GRID):
         raise ContractViolation(f"need grid_size >= 8, got {grid_size}")
     p = circle.period
     thetas = np.arange(grid_size) / grid_size
-    values = [eval_circle_grid(circle, j + 1, thetas) for j in range(p)]
-    shifted_first = eval_circle_grid(circle, 1, (thetas + circle.rotation) % 1.0)
+    values = [eval_circle(circle, j + 1, thetas) for j in range(p)]
+    shifted_first = eval_circle(circle, 1, (thetas + circle.rotation) % 1.0)
     total = 0.0
     for idx in range(grid_size):
         for i in range(p - 1):

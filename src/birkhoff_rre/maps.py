@@ -99,17 +99,6 @@ class StandardMap(DynamicalMap):
         return np.array((x, y))
 
 
-class InverseStandardMap(DynamicalMap):
-    state_dimension = 2
-
-    def __init__(self, k):
-        self.k = float(k)
-
-    def step(self, point):
-        x, y = standard_map_inverse_step(point[0], point[1], self.k)
-        return np.array((x, y))
-
-
 class IdentityObservable(Observable):
     """Return the state itself."""
 
@@ -159,13 +148,34 @@ class CoordinateObservable(Observable):
         return np.array((float(point[self.index]),))
 
 
+def _advance_orbit(dynamical_map, observable, point, out, first_step, escape_bound):
+    """Step on from ``point``, the state at step first_step - 1.
+
+    Row i of ``out`` receives the observable at step first_step + i, one
+    map evaluation per row.  Returns the state at the last row.  Raises
+    OrbitEscape as sample_trajectory documents.
+    """
+    for i in range(out.shape[0]):
+        point = dynamical_map.step(point)
+        if not np.all(np.isfinite(point)) or np.max(np.abs(point)) > escape_bound:
+            raise OrbitEscape(f"orbit escaped at step {first_step + i}",
+                              step=first_step + i)
+        out[i] = observable.evaluate(point)
+    bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
+    if bad.size:
+        step = first_step + int(bad[0])
+        raise OrbitEscape(f"observable non-finite at step {step}", step=step)
+    return point
+
+
 def sample_trajectory(dynamical_map, observable, x0, n, escape_bound=DEFAULT_ESCAPE_BOUND):
     """Sample a_t = observable(F^t(x0)) for t = 0 .. n-1.
 
     Uses exactly n - 1 map evaluations.  Raises OrbitEscape (with the
     offending step index) if the state becomes non-finite or any
-    coordinate exceeds ``escape_bound``; unbounded drift otherwise
-    poisons the downstream linear algebra.
+    coordinate exceeds ``escape_bound``, or if the observable is
+    non-finite; unbounded drift otherwise poisons the downstream
+    linear algebra.
     """
     if n < 1:
         raise ContractViolation(f"need n >= 1, got {n}")
@@ -173,12 +183,7 @@ def sample_trajectory(dynamical_map, observable, x0, n, escape_bound=DEFAULT_ESC
     first = np.atleast_1d(np.asarray(observable.evaluate(point), dtype=float))
     out = np.empty((n, first.shape[0]))
     out[0] = first
-    for t in range(1, n):
-        point = dynamical_map.step(point)
-        if not np.all(np.isfinite(point)) or np.max(np.abs(point)) > escape_bound:
-            raise OrbitEscape(f"orbit escaped at step {t}", step=t)
-        out[t] = observable.evaluate(point)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.all(np.isfinite(out), axis=1))[0])
-        raise OrbitEscape(f"observable non-finite at step {bad}", step=bad)
+    if not np.all(np.isfinite(first)):
+        raise OrbitEscape("observable non-finite at step 0", step=0)
+    _advance_orbit(dynamical_map, observable, point, out[1:], 1, escape_bound)
     return Trajectory(out)

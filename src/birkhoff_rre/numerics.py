@@ -49,7 +49,12 @@ def complex_least_squares_solve(a, b):
     """Columnwise minimum-norm least squares for complex ``a @ X = b``.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    result has one solution column per column of ``b``.
+    solution has one column per column of ``b``.  Returns
+    ``(solution, rank)``: ``rank`` is the effective rank that gelsy's
+    pivoted QR settles on, with singular values estimated below
+    max(m, n) * eps times the largest treated as zero -- the tolerance
+    of ``np.linalg.matrix_rank``.  (gelsy's default cutoff, eps alone,
+    can call a Vandermonde matrix with a repeated node full rank.)
     """
     a = _as_matrix(a, "a", complex)
     b = np.asarray(b, dtype=complex)
@@ -65,8 +70,9 @@ def complex_least_squares_solve(a, b):
         raise ContractViolation(f"b has {b.shape[0]} rows, expected {m}")
     if not np.all(np.isfinite(b.view(float))):
         raise ContractViolation("b contains non-finite entries")
-    x, _, _, _ = scipy.linalg.lstsq(a, b, lapack_driver="gelsy", check_finite=False)
-    return x[:, 0] if squeeze else x
+    x, _, rank, _ = scipy.linalg.lstsq(a, b, cond=max(m, n) * np.finfo(float).eps,
+                                       lapack_driver="gelsy", check_finite=False)
+    return (x[:, 0] if squeeze else x), int(rank)
 
 
 def real_eigenvalues(m):

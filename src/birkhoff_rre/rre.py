@@ -31,7 +31,7 @@ import numpy as np
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation
-from .maps import Trajectory, sample_trajectory, DEFAULT_ESCAPE_BOUND
+from .maps import DEFAULT_ESCAPE_BOUND, Trajectory, _advance_orbit, sample_trajectory
 from .numerics import least_squares_solve
 
 SQRT2 = math.sqrt(2.0)
@@ -252,32 +252,17 @@ class TrajectorySource:
         if n < 1:
             raise ContractViolation(f"need n >= 1, got {n}")
         if self._samples is None:
-            traj = sample_trajectory(
-                self.dynamical_map, self.observable, self.x0, n, self.escape_bound
-            )
-            self._samples = traj.samples
-            self._state = self._replay_state(n)
-            return traj
+            self._samples = sample_trajectory(
+                self.dynamical_map, self.observable, self.x0, 1, self.escape_bound
+            ).samples
+            self._state = self.x0
         have = self._samples.shape[0]
         if n > have:
             extra = np.empty((n - have, self._samples.shape[1]))
-            point = self._state
-            for i in range(n - have):
-                point = self.dynamical_map.step(point)
-                if not np.all(np.isfinite(point)) or np.max(np.abs(point)) > self.escape_bound:
-                    from .errors import OrbitEscape
-
-                    raise OrbitEscape(f"orbit escaped at step {have + i}", step=have + i)
-                extra[i] = self.observable.evaluate(point)
+            self._state = _advance_orbit(self.dynamical_map, self.observable,
+                                         self._state, extra, have, self.escape_bound)
             self._samples = np.vstack([self._samples, extra])
-            self._state = point
         return Trajectory(self._samples[:n])
-
-    def _replay_state(self, n):
-        point = self.x0
-        for _ in range(n - 1):
-            point = self.dynamical_map.step(point)
-        return point
 
 
 @dataclass

@@ -182,7 +182,8 @@ def mode_prominence(root_set, trajectory):
     polynomial cannot have 1 as a root -- unless a supplied root
     already sits there.  Conjugate pairs are merged into single
     entries with their prominences summed, so one real oscillation is
-    one mode.
+    one mode.  ``rank_deficient`` is set when the solve's effective rank
+    falls short of the column count, e.g. for a repeated root.
     """
     roots = root_set.roots
     if roots.shape[0] == 0:
@@ -193,8 +194,7 @@ def mode_prominence(root_set, trajectory):
     powers = columns[None, :] ** np.arange(n)[:, None]
     sqrt_w = np.sqrt(bump_weights(n))[:, None]
     weighted = sqrt_w * powers
-    v = complex_least_squares_solve(weighted, sqrt_w * trajectory.samples)
-    rank = np.linalg.matrix_rank(weighted)
+    v, rank = complex_least_squares_solve(weighted, sqrt_w * trajectory.samples)
     prominences = np.linalg.norm(np.atleast_2d(v), axis=1)
     if add_constant:
         prominences = prominences[1:]

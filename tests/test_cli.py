@@ -37,6 +37,29 @@ table = {table}
 """
 
 
+# (line of BASE, its replacement): each makes one config key non-finite or
+# out of range
+BAD_VALUES = [
+    ("k = 0.7", "k = nan"),
+    ("k = 0.7", "k = 0.7\nescape_bound = inf"),
+    ("epsilon = 0", "epsilon = nan"),
+    ("gamma = 3", "gamma = nan"),
+    ("delta_adapt = 1e-10", "delta_adapt = nan"),
+    ("delta_adapt = 1e-10", "delta_adapt = inf"),
+    ("delta_k = 50", "delta_k = 50\ndelta_chaos = nan"),
+    ("delta_k = 50", "delta_k = 50\neps_rat = inf"),
+    ("delta_k = 50", "delta_k = 50\nunit_circle_tol = nan"),
+    ("delta_k = 50", "delta_k = 50\ngamma_max = nan"),
+    ("delta_k = 50", "delta_k = 50\ngamma_max = 0.9"),
+    ("delta_k = 50", "delta_k = 50\ngamma_max = 0"),
+    ("delta_k = 50", "delta_k = 50\np_max = 0"),
+    ("delta_k = 50", "delta_k = 50\ntop_modes = 0"),
+    ("delta_k = 50", "delta_k = 50\nvalidation_j = 4"),
+    ("seeds = 0.0 0.0;", "seeds = nan 0.0;"),
+    ("seeds = 0.0 0.0;", "seeds = 0.0 inf;"),
+]
+
+
 def read_body(path):
     """CSV contents with the version-stamp header stripped."""
     lines = open(path).read().splitlines()
@@ -69,6 +92,16 @@ class TestConfig:
                            BASE.format(table="t.csv").replace("k = 0.7", "k = seven"))
         assert main(["classify", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", BAD_VALUES,
+                             ids=[new.split("\n")[-1] for _, new in BAD_VALUES])
+    def test_bad_value_exits_two(self, tmp_path, capsys, old, new):
+        body = BASE.format(table=tmp_path / "t.csv")
+        assert old in body
+        cfg = write_config(tmp_path / "bad.ini", body.replace(old, new, 1))
+        assert main(["classify", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_line_seed_grid(self, tmp_path):
         body = BASE.format(table="t.csv").replace(

@@ -11,7 +11,6 @@ from birkhoff_rre.fourier import (
     choose_num_modes,
     condition_bound,
     eval_circle,
-    eval_circle_grid,
     fit_circle,
     make_observable_advance,
     project_circle,
@@ -88,7 +87,7 @@ class TestProjectCircle:
         traj = sample_trajectory(StandardMap(0.0), IdentityObservable(),
                                  (0.0, GOLDEN), 200)
         circle = project_circle(traj, GOLDEN, 12)
-        values = eval_circle_grid(circle, 1, np.linspace(0, 1, 64, endpoint=False))
+        values = eval_circle(circle, 1, np.linspace(0, 1, 64, endpoint=False))
         assert np.abs(values[:, 1] - GOLDEN).max() < 1e-10
 
     def test_reality_condition(self):
@@ -96,6 +95,14 @@ class TestProjectCircle:
                                  (0.1, 0.0), 200)
         circle = project_circle(traj, 0.1330925079753239, 6)
         assert circle.reality_defect < 1e-8
+
+    def test_near_zero_frequency_flagged_ill_conditioned(self):
+        # all 2L+1 modes nearly coincide: the Gershgorin bound fails
+        omega = 1e-4
+        t = np.arange(60)
+        circle = project_circle(Trajectory(np.cos(2 * np.pi * omega * t)), omega, 3)
+        assert circle.condition_estimate == math.inf
+        assert circle.ill_conditioned
 
     def test_too_many_modes_rejected(self):
         with pytest.raises(ContractViolation):
@@ -129,7 +136,7 @@ class TestEvalCircle:
             spectrum[ell % grid] = coeffs[ell + num_modes]
         via_fft = np.fft.ifft(spectrum).real * grid
         thetas = np.arange(grid) / grid
-        direct = eval_circle_grid(circle_like, 1, thetas)[:, 0]
+        direct = eval_circle(circle_like, 1, thetas)[:, 0]
         assert np.abs(direct - via_fft).max() < 1e-10
 
     def test_component_out_of_range(self):

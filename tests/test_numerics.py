@@ -53,22 +53,32 @@ class TestLeastSquares:
 
 class TestComplexLeastSquares:
     def test_scalar_division(self):
-        x = complex_least_squares_solve(np.array([[1j]]), np.array([[1.0 + 0j]]))
+        x, _ = complex_least_squares_solve(np.array([[1j]]), np.array([[1.0 + 0j]]))
         assert np.allclose(x, [[-1j]], atol=1e-14)
 
     def test_unitary(self):
         theta = 0.7
         a = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]], dtype=complex)
-        x = complex_least_squares_solve(a, a)
+        x, _ = complex_least_squares_solve(a, a)
         assert np.allclose(x, np.eye(2), atol=1e-13)
 
     def test_exact_interpolation(self):
         lam = np.exp(2j * np.pi * 0.3)
         a = np.array([[1.0, 1.0], [lam, lam.conj()], [lam**2, lam.conj()**2]])
         b = a @ np.array([2.0, 2.0])
-        x = complex_least_squares_solve(a, b)
+        x, _ = complex_least_squares_solve(a, b)
         assert np.allclose(x, [2.0, 2.0], atol=1e-12)
+
+    def test_rank_matches_matrix_rank(self):
+        t = np.arange(30)[:, None]
+        z = np.exp(2j * np.pi * np.array([0.0, 0.21, -0.21, 0.37]))
+        full = z[None, :] ** t
+        repeated = z[[0, 1, 1, 2]][None, :] ** t  # one node twice
+        for a in (full, repeated):
+            _, rank = complex_least_squares_solve(a, a[:, 0])
+            assert rank == np.linalg.matrix_rank(a)
+        assert np.linalg.matrix_rank(repeated) == 3
 
     def test_mismatch(self):
         with pytest.raises(ContractViolation):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoff_rre.birkhoff import wba_doubling_residual
-from birkhoff_rre.errors import ContractViolation
+from birkhoff_rre.errors import ContractViolation, OrbitEscape
 from birkhoff_rre.maps import (
     CoordinateObservable,
+    DynamicalMap,
     EmbeddingObservable,
+    Observable,
     StandardMap,
     Trajectory,
     sample_trajectory,
@@ -187,6 +189,25 @@ class TestAdaptiveSolve:
         assert np.array_equal(longer.samples[:50], short)
         fresh = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.0), 120)
         assert np.allclose(longer.samples, fresh.samples, atol=0)
+
+    def test_extension_checks_observable(self):
+        class Counter(DynamicalMap):
+            state_dimension = 1
+
+            def step(self, point):
+                return point + 1.0
+
+        class NanFromStep(Observable):
+            output_dimension = 1
+
+            def evaluate(self, point):
+                return np.array((np.nan if point[0] >= 30 else point[0],))
+
+        source = TrajectorySource(Counter(), NanFromStep(), (0.0,))
+        assert np.array_equal(source.take(10).samples[:, 0], np.arange(10.0))
+        with pytest.raises(OrbitEscape) as info:
+            source.take(100)
+        assert info.value.step == 30
 
     def test_default_run_configuration(self):
         params = ClassifyParams()

@@ -159,6 +159,14 @@ class TestModeProminence:
         assert abs(values[0] - values[1]) < 1e-10
         assert len(ranking.entries) == 1
         assert abs(ranking.entries[0].prominence - 1.0) < 1e-9
+        assert not ranking.rank_deficient
+
+    def test_repeated_root_is_rank_deficient(self):
+        omega = 0.21
+        z = np.exp(2j * np.pi * omega)
+        traj = Trajectory(np.cos(2 * np.pi * omega * np.arange(50)))
+        ranking = mode_prominence(RootSet(np.array([z, z]), np.zeros(2, dtype=bool)), traj)
+        assert ranking.rank_deficient
 
 
 class TestRationalDetect:
