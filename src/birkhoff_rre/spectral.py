@@ -90,10 +90,18 @@ def colleague_roots(b):
 
 
 def _unfold_root(x):
-    """Both solutions z of (z + 1/z)/2 = x, stable branch first."""
-    if abs(x.imag) < 1e-14 and abs(x.real) <= 1.0:
+    """Both solutions z of (z + 1/z)/2 = x, stable branch first.
+
+    A real x within CRITICAL_X_TOL outside [-1, 1] is unfolded as its
+    mirror image inside.  So close to +-1, which side x lands on is
+    rounding, but it decides between a conjugate pair on the unit circle
+    and a real pair whose modulus is off by sqrt(2 |x -+ 1|), which the
+    unit-circle filter drops once |x -+ 1| > 5e-15.
+    """
+    if abs(x.imag) < 1e-14 and abs(x.real) <= 1.0 + CRITICAL_X_TOL:
         # exact unit modulus for the dominant case
-        z = complex(x.real, math.sqrt(max(1.0 - x.real * x.real, 0.0)))
+        xr = x.real if abs(x.real) <= 1.0 else math.copysign(2.0 - abs(x.real), x.real)
+        z = complex(xr, math.sqrt(max(1.0 - xr * xr, 0.0)))
         return z, z.conjugate()
     s = np.sqrt(x * x - 1.0)
     if (np.conj(x) * s).real < 0.0:
@@ -155,6 +163,7 @@ class ModeEntry:
     root: complex        # representative with nonnegative imaginary part
     frequency: float     # arg(root)/2pi in [0, 1/2]
     prominence: float    # summed over the conjugate pair
+    low_confidence: bool  # either root of the pair tagged near z = +-1
 
 
 @dataclass
@@ -182,7 +191,8 @@ def mode_prominence(root_set, trajectory):
     polynomial cannot have 1 as a root -- unless a supplied root
     already sits there.  Conjugate pairs are merged into single
     entries with their prominences summed, so one real oscillation is
-    one mode.  ``rank_deficient`` is set when the solve's effective rank
+    one mode, low-confidence if either root of the pair is.
+    ``rank_deficient`` is set when the solve's effective rank
     falls short of the column count, e.g. for a repeated root.
     """
     roots = root_set.roots
@@ -200,16 +210,18 @@ def mode_prominence(root_set, trajectory):
         prominences = prominences[1:]
     per_root = list(zip(roots.tolist(), prominences.tolist()))
     groups = {}
-    for z, p in per_root:
+    for (z, p), shaky in zip(per_root, root_set.low_confidence.tolist()):
         freq = canonical_frequency(z)
         key = round(freq / _CONSTANT_ROOT_TOL)
         rep = z if z.imag >= 0 else np.conj(z)
         if key in groups:
             old = groups[key]
             groups[key] = ModeEntry(root=old.root, frequency=old.frequency,
-                                    prominence=old.prominence + p)
+                                    prominence=old.prominence + p,
+                                    low_confidence=old.low_confidence or shaky)
         else:
-            groups[key] = ModeEntry(root=complex(rep), frequency=freq, prominence=float(p))
+            groups[key] = ModeEntry(root=complex(rep), frequency=freq, prominence=float(p),
+                                    low_confidence=shaky)
     entries = sorted(groups.values(), key=lambda e: -e.prominence)
     return ModeRanking(
         entries=entries,
@@ -352,6 +364,29 @@ class Classification:
     flags: list = field(default_factory=list)
 
 
+def island_period(entries, params):
+    """Largest denominator among the rational frequencies of ``entries``.
+
+    Each non-constant mode is tested with ``rational_detect`` at
+    ``eps_rat``.  A low-confidence mode comes from a root near z = +-1,
+    where the colleague root is accurate only to about sqrt(machine
+    epsilon); it is tested at max(eps_rat, unit_circle_tol), so a
+    palindromic double root at z = -1 reads as 1/2 however its last bits
+    round.  Returns 1 when no mode is rational.
+    """
+    period = 1
+    for entry in entries:
+        if entry.frequency <= _CONSTANT_ROOT_TOL:
+            continue
+        tol = params.eps_rat
+        if entry.low_confidence:
+            tol = max(tol, params.unit_circle_tol)
+        verdict = rational_detect(entry.frequency, params.p_max, tol)
+        if verdict is not None and verdict[1] > period:
+            period = verdict[1]
+    return period
+
+
 def _extract_rotation(ranking, zero_tol=_CONSTANT_ROOT_TOL):
     """Top-ranked non-constant frequency, or None."""
     for entry in ranking.entries:
@@ -423,13 +458,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     ranking = mode_prominence(roots, traj)
     if ranking.rank_deficient:
         flags.append("rank_deficient_modes")
-    period = 1
-    for entry in ranking.entries[:params.top_modes]:
-        if entry.frequency <= _CONSTANT_ROOT_TOL:
-            continue
-        verdict = rational_detect(entry.frequency, params.p_max, params.eps_rat)
-        if verdict is not None and verdict[1] > period:
-            period = verdict[1]
+    period = island_period(ranking.entries[:params.top_modes], params)
     if period == 1:
         rotation = _extract_rotation(ranking)
         if rotation is None:

@@ -15,12 +15,14 @@ from birkhoff_rre.maps import (
 from birkhoff_rre.rre import solve_from_trajectory
 from birkhoff_rre.spectral import (
     ClassifyParams,
+    ModeEntry,
     RootSet,
     canonical_frequency,
     chebyshev_coefficients,
     classify_trajectory,
     colleague_roots,
     continued_fraction_convergents,
+    island_period,
     mode_prominence,
     palindromic_roots,
     rational_detect,
@@ -112,6 +114,20 @@ class TestPalindromicRoots:
         assert np.all(roots.low_confidence)
         assert np.min(np.abs(roots.roots + 1.0)) < 1e-6
 
+    @pytest.mark.parametrize("edge", [-1.0, 1.0])
+    def test_root_just_outside_edge_unfolds_onto_circle(self, edge):
+        # (x - x0)(x - 0.3) with x0 5e-14 beyond +-1: unfolded directly,
+        # x0 gives a real pair 3e-7 off the circle, which the filter drops
+        x0 = edge * (1.0 + 5e-14)
+        b = np.array([0.5 + 0.3 * x0, -(x0 + 0.3), 0.5])
+        c = np.concatenate([b[:0:-1] / 2.0, [b[0]], b[1:] / 2.0])
+        roots = palindromic_roots(c)
+        kept = unit_circle_filter(roots, 1e-7)
+        assert len(kept) == 4
+        near = kept.roots[np.abs(kept.roots - edge) < 1e-6]
+        assert len(near) == 2 and np.all(kept.low_confidence[np.abs(kept.roots - edge) < 1e-6])
+        assert np.all(np.abs(np.abs(near) - 1.0) < 1e-15)
+
 
 class TestUnitCircleFilter:
     def test_drops_off_circle_roots(self):
@@ -190,6 +206,36 @@ class TestRationalDetect:
         assert rational_detect(0.0, 5, 1e-9) == (0, 1)
 
 
+class TestIslandPeriod:
+    @staticmethod
+    def mode(frequency, low_confidence):
+        root = complex(np.exp(2j * np.pi * frequency))
+        return ModeEntry(root=root, frequency=frequency, prominence=1.0,
+                         low_confidence=low_confidence)
+
+    def test_low_confidence_half_is_period_two(self):
+        # a root near z = -1 is accurate only to about sqrt(eps), so a mode
+        # 1.03e-8 from 1/2 (outside eps_rat = 1e-8) still reads as 1/2
+        params = ClassifyParams()
+        assert island_period([self.mode(0.5 - 1.03e-8, True)], params) == 2
+        assert island_period([self.mode(0.5 - 1.03e-8, False)], params) == 1
+
+    def test_low_confidence_tolerance_never_below_eps_rat(self):
+        params = ClassifyParams(eps_rat=1e-6, unit_circle_tol=1e-7)
+        assert island_period([self.mode(0.5 - 5e-7, True)], params) == 2
+
+    def test_constant_mode_ignored(self):
+        assert island_period([self.mode(0.0, True)], ClassifyParams()) == 1
+
+    def test_pair_tagged_if_either_root_is(self):
+        z = complex(np.exp(2j * np.pi * 0.3))
+        roots = RootSet(roots=np.array([z, z.conjugate()]),
+                        low_confidence=np.array([False, True]))
+        traj = sample_trajectory(StandardMap(0.0), EmbeddingObservable(), (0.0, 0.3), 200)
+        entries = mode_prominence(roots, traj).entries
+        assert len(entries) == 1 and entries[0].low_confidence
+
+
 class TestContinuedFractions:
     def test_golden_denominators_are_fibonacci(self):
         convergents = continued_fraction_convergents(GOLDEN, 6)
@@ -251,6 +297,14 @@ class TestClassify:
         assert cls.tag == "integrable"
         assert cls.period == 2
         assert 0.0 < cls.rotation < 0.5
+
+    def test_island_period_two_from_root_near_minus_one(self):
+        # line seed 80 of the k = 0.7 headline line: its top mode lands
+        # farther than eps_rat = 1e-8 from 1/2
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(),
+                                  (0.05, 80 * 0.6 / 99))
+        assert cls.tag == "integrable"
+        assert cls.period == 2
 
     def test_fixed_point(self):
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(),
