@@ -120,14 +120,10 @@ def classify_seed(cfg, seed):
 
 
 def _circle_json(seed, cls, circle, r_p, flags):
-    coeffs = []
+    # coeffs[block][mode][component] = [real, imag]
     d = circle.dimension
-    for block in range(circle.period):
-        rows = []
-        for mode in range(2 * circle.num_modes + 1):
-            entry = circle.coefficients[mode, block * d:(block + 1) * d]
-            rows.append([[float(z.real), float(z.imag)] for z in entry])
-        coeffs.append(rows)
+    pairs = np.stack([circle.coefficients.real, circle.coefficients.imag], -1)
+    coeffs = [pairs[:, block * d:(block + 1) * d].tolist() for block in range(circle.period)]
     return {
         "seed": [float(seed[0]), float(seed[1])],
         "period": int(circle.period),

@@ -157,9 +157,13 @@ def _advance_orbit(dynamical_map, observable, point, out, first_step, escape_bou
     """
     for i in range(out.shape[0]):
         point = dynamical_map.step(point)
-        if not np.all(np.isfinite(point)) or np.max(np.abs(point)) > escape_bound:
-            raise OrbitEscape(f"orbit escaped at step {first_step + i}",
-                              step=first_step + i)
+        # scalar checks on the coordinates: numpy reductions on a 2-vector
+        # cost more than the map step itself
+        coords = point.tolist() if isinstance(point, np.ndarray) else point
+        for c in coords:
+            if not (math.isfinite(c) and abs(c) <= escape_bound):
+                raise OrbitEscape(f"orbit escaped at step {first_step + i}",
+                                  step=first_step + i)
         out[i] = observable.evaluate(point)
     bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
     if bad.size:

@@ -17,17 +17,27 @@ The constraints are eliminated exactly: folding c to its K+1 distinct
 entries turns the palindromic constraint into a change of basis that
 preserves Euclidean norms, and the mean constraint is removed by
 parameterizing its affine solution set with an orthonormal null-space
-basis (Householder).  With epsilon > 0 the variables are additionally
-scaled so the regularization block becomes sqrt(epsilon) I; otherwise
-the wildly varying window weights make the stacked system numerically
-unsolvable.  Either way the minimizer is identical to the stated
-problem's.
+basis, the last K columns of a Householder reflector.  The reflector is
+kept as its vector and applied in O(mK) work, never formed.  With
+epsilon > 0 the variables are additionally scaled so the regularization
+block becomes sqrt(epsilon) I; otherwise the wildly varying window
+weights make the stacked system numerically unsolvable.  Either way the
+minimizer is identical to the stated problem's.
+
+The weighted, folded data matrix A, T*D rows tall (about 3(K+1) at the
+defaults), is first replaced by the triangle R of its unpivoted QR
+factorization, at most K+1 rows.  |A y| = |R y| for every y, so the
+objective, the set of minimizers and the minimum-norm minimizer do not
+change, and the rank-revealing least-squares solve runs on a
+(K+1)-by-K matrix instead of a (T*D)-by-K one.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation
@@ -102,10 +112,8 @@ def build_problem(u, half_length, window_count, epsilon=0.0):
         raise ContractViolation(f"rank requirement T*D >= K fails: {t}*{d} < {k}")
     if epsilon < 0:
         raise ContractViolation(f"epsilon must be >= 0, got {epsilon}")
-    width = 2 * k + 1
-    hankel = np.empty((t * d, width))
-    for row in range(t):
-        hankel[row * d:(row + 1) * d, :] = u[row:row + width].T
+    # row r*D + i holds u[r:r + 2K+1, i]; the reshaped view aliases u, so copy
+    hankel = sliding_window_view(u, 2 * k + 1, axis=0)[:t].reshape(t * d, 2 * k + 1).copy()
     return RreProblem(
         half_length=k,
         window_count=t,
@@ -149,13 +157,17 @@ def _unfold(d, k):
     return c
 
 
-def _null_basis(v):
-    """Particular solution of v . d = 1 plus an orthonormal basis of v-perp."""
-    n = v.shape[0]
-    u = v.astype(float).copy()
-    u[0] += math.copysign(np.linalg.norm(v), v[0] if v[0] != 0 else 1.0)
-    house = np.eye(n) - (2.0 / (u @ u)) * np.outer(u, u)
-    return v / (v @ v), house[:, 1:]
+def _householder(v):
+    """Vector h and beta with H = I - beta h h^T mapping v onto the e_1 axis.
+
+    H is symmetric and orthogonal, so its last n-1 columns are an
+    orthonormal basis of v-perp.  H itself is never formed:
+    a @ H[:, 1:] = a[:, 1:] - beta (a @ h) h[1:]^T, and
+    H[:, 1:] @ x = (0, x) - beta (h[1:] . x) h.
+    """
+    h = np.array(v, dtype=float)
+    h[0] += math.copysign(np.linalg.norm(v), v[0] if v[0] != 0 else 1.0)
+    return h, 2.0 / (h @ h)
 
 
 def scale_free_residual(residual, epsilon, signal_scale):
@@ -171,31 +183,48 @@ def scale_free_residual(residual, epsilon, signal_scale):
 def solve_filter(problem):
     """Solve for the optimal palindromic mean-one filter.
 
+    The weighted, folded data matrix A is replaced by the triangle R of
+    its QR factorization (|A y| = |R y|), and the mean-one constraint
+    v . d = 1 is eliminated with the particular solution v / |v|^2 plus
+    K coordinates x along the Householder basis of v-perp.  The
+    particular solution is orthogonal to that basis, so the
+    regularization block on x is sqrt(epsilon) I_K (absent when epsilon
+    is 0) and the rest of the penalty is the constant epsilon / |v|^2.
+    The (K+1)-by-K system goes to the rank-revealing solver, which keeps
+    the minimum-norm minimizer near convergence.
+
     Returns a FilterSolution whose ``residual`` is the square root of
-    the attained objective (data misfit plus regularization), and whose
-    ``scale_free_residual`` divides out the weighted energy G of the
-    difference signal.
+    the attained objective (data misfit plus regularization), measured
+    on the uncompressed data, and whose ``scale_free_residual`` divides
+    out the weighted energy G of the difference signal.
     """
     k, t, d = problem.half_length, problem.window_count, problem.dimension
     eps = problem.epsilon
     sqrt_row = np.repeat(np.sqrt(problem.row_weights), d)
     top = sqrt_row[:, None] * _fold(problem.hankel, k)
+    # min(T*D, K+1) rows, and |top y| = |tri y| for every y
+    tri = scipy.linalg.qr(top, mode="raw", check_finite=False)[1]
+    scale = np.sqrt(problem.tap_weights[k:]) if eps > 0.0 else np.ones(k + 1)
+    scaled_tri = tri * scale[None, :]
     constraint = np.full(k + 1, SQRT2)
     constraint[0] = 1.0
+    v = scale * constraint
+    h, beta = _householder(v)
+    particular = v / (v @ v)
+    system = scaled_tri[:, 1:] - np.outer(scaled_tri @ h, beta * h[1:])
+    rhs = -(scaled_tri @ particular)
     if eps > 0.0:
-        folded_taps = problem.tap_weights[k:]
-        scale = np.sqrt(folded_taps)
-        stacked = np.vstack([top * scale[None, :], math.sqrt(eps) * np.eye(k + 1)])
-        particular, basis = _null_basis(scale * constraint)
-        coeffs = least_squares_solve(stacked @ basis, -stacked @ particular)
-        scaled = particular + basis @ coeffs
-        d_vec = scale * scaled
-        r_squared = float(np.sum((top @ d_vec) ** 2)) + eps * float(scaled @ scaled)
-    else:
-        particular, basis = _null_basis(constraint)
-        coeffs = least_squares_solve(top @ basis, -top @ particular)
-        d_vec = particular + basis @ coeffs
-        r_squared = float(np.sum((top @ d_vec) ** 2))
+        system = np.vstack([system, math.sqrt(eps) * np.eye(k)])
+        rhs = np.concatenate([rhs, np.zeros(k)])
+    x = least_squares_solve(system, rhs)
+    scaled = particular - (beta * (h[1:] @ x)) * h
+    scaled[1:] += x
+    d_vec = scale * scaled
+    # einsum, not BLAS gemv: right after the threaded QR, OpenBLAS's gemv
+    # on this tall matrix took 8 ms against 0.7 ms, and the whole solve
+    # 0.20 s against 0.11 s at K = 600 (2-core host, default threads)
+    misfit = np.einsum("ij,j->i", top, d_vec)
+    r_squared = float(misfit @ misfit) + eps * float(scaled @ scaled)
     # weighted energy of the first T difference vectors (Hankel column 0)
     u_rows = problem.hankel[:, 0].reshape(t, d)
     g_squared = float(problem.row_weights @ (u_rows ** 2).sum(axis=1))

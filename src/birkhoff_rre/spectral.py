@@ -340,6 +340,10 @@ class ClassifyParams:
     def __post_init__(self):
         if self.delta_chaos is None:
             self.delta_chaos = self.delta_adapt
+        for name in ("delta_adapt", "delta_chaos", "eps_rat", "unit_circle_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ContractViolation(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass
@@ -443,7 +447,8 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         if params.adapt_gate == "scale_free"
         else solution.residual
     )
-    if chaos_value > params.delta_chaos:
+    # a nan residual fails closed to chaotic
+    if not chaos_value <= params.delta_chaos:
         return Classification(tag="chaotic", solution=solution, diagnostics=diag)
     traj = source.take(solution.window_count + 2 * solution.half_length + 1)
     roots = unit_circle_filter(palindromic_roots(solution.coefficients),

@@ -1,12 +1,14 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from birkhoff_rre.cli import figure2_errors, main
+from birkhoff_rre.cli import _circle_json, figure2_errors, main
 from birkhoff_rre.config import WORKERS_ENV_VAR, load_config
 from birkhoff_rre.errors import ConfigError
+from birkhoff_rre.fourier import FourierCircle
 
 
 def write_config(path, body):
@@ -197,6 +199,38 @@ class TestClassifyCommand:
         rows = [line.split(",") for line in read_body(table).splitlines()[1:]]
         assert all(row[2] == "error" for row in rows)
         assert all("synthetic failure" in row[10] for row in rows)
+
+
+def circle_json_reference(seed, cls, circle, r_p, flags):
+    """The per-coefficient loop _circle_json replaced."""
+    coeffs = []
+    d = circle.dimension
+    for block in range(circle.period):
+        rows = []
+        for mode in range(2 * circle.num_modes + 1):
+            entry = circle.coefficients[mode, block * d:(block + 1) * d]
+            rows.append([[float(z.real), float(z.imag)] for z in entry])
+        coeffs.append(rows)
+    payload = _circle_json(seed, cls, circle, r_p, flags)
+    payload["coefficients"] = coeffs
+    return payload
+
+
+class TestCircleJson:
+    @pytest.mark.parametrize("period, num_modes", [(1, 75), (2, 4), (1, 0)])
+    def test_bytes_match_per_coefficient_loop(self, period, num_modes):
+        rng = np.random.default_rng(period * 100 + num_modes)
+        shape = (2 * num_modes + 1, period * 2)
+        circle = FourierCircle(
+            period=period, rotation=0.3, num_modes=num_modes, dimension=2,
+            coefficients=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        cls = SimpleNamespace(diagnostics={"R": 1e-12, "R_G": 2e-12})
+        args = ((0.05, 0.25), cls, circle, 3e-9, ["observable_space_validation"])
+        payload = _circle_json(*args)
+        assert len(payload["coefficients"]) == period
+        expected = circle_json_reference(*args)
+        assert (json.dumps(payload, indent=1, sort_keys=True)
+                == json.dumps(expected, indent=1, sort_keys=True))
 
 
 class TestConvergeCommand:

@@ -127,6 +127,34 @@ class TestSampleTrajectory:
                               escape_bound=16.0)
         assert info.value.step == 5  # 2^5 = 32 > 16
 
+    def test_tuple_and_list_states(self):
+        class TupleStandardMap(StandardMap):
+            def step(self, point):
+                return standard_map_step(point[0], point[1], self.k)
+
+        class ListStandardMap(StandardMap):
+            def step(self, point):
+                return list(standard_map_step(point[0], point[1], self.k))
+
+        expected = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.2), 50)
+        for dmap in (TupleStandardMap(0.7), ListStandardMap(0.7)):
+            traj = sample_trajectory(dmap, EmbeddingObservable(), (0.1, 0.2), 50)
+            assert np.array_equal(traj.samples, expected.samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bound", [1e6, math.inf])
+    def test_non_finite_tuple_state_escapes(self, bad, bound):
+        class Blowup(DynamicalMap):
+            state_dimension = 2
+
+            def step(self, point):
+                return (0.0, bad)
+
+        with pytest.raises(OrbitEscape) as info:
+            sample_trajectory(Blowup(), IdentityObservable(), (0.0, 0.0), 10,
+                              escape_bound=bound)
+        assert info.value.step == 1
+
     def test_bad_length(self):
         with pytest.raises(ContractViolation):
             sample_trajectory(StandardMap(0.1), IdentityObservable(), (0.0, 0.0), 0)

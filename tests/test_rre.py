@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,15 @@ class TestBuildProblem:
     def test_hankel_shift(self):
         problem = build_problem(np.array([1.0, 2.0, 3.0, 4.0]), 1, 2)
         assert np.array_equal(problem.hankel, [[1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+
+    def test_vector_signal_rows_interleave_components(self):
+        u = np.arange(20.0).reshape(10, 2)
+        problem = build_problem(u, 2, 3)
+        for row in range(3):
+            for i in range(2):
+                assert np.array_equal(problem.hankel[2 * row + i], u[row:row + 5, i])
+        problem.hankel[0, 0] = -1.0
+        assert u[0, 0] == 0.0
 
     def test_tap_weights_symmetric(self):
         w = symmetrized_tap_weights(5)
@@ -135,6 +145,62 @@ class TestSolveFilter:
         assert r_squared >= eps - 1e-14
         feasible = wba_feasible_objective(u, k, t, eps)
         assert r_squared <= feasible * (1.0 + 1e-12)
+
+
+def dense_reference(problem):
+    """The filter solve written out densely: explicit fold matrix, explicit
+    Householder null-space basis, and gelsy on the full-height system."""
+    k, d, eps = problem.half_length, problem.dimension, problem.epsilon
+    fold = np.zeros((2 * k + 1, k + 1))
+    fold[k, 0] = 1.0
+    for j in range(1, k + 1):
+        fold[k + j, j] = fold[k - j, j] = 1.0 / math.sqrt(2.0)
+    sqrt_row = np.repeat(np.sqrt(problem.row_weights), d)
+    top = sqrt_row[:, None] * (problem.hankel @ fold)
+    scale = np.sqrt(problem.tap_weights[k:]) if eps > 0 else np.ones(k + 1)
+    v = scale * np.concatenate([[1.0], np.full(k, math.sqrt(2.0))])
+    a = top * scale[None, :]
+    if eps > 0:
+        a = np.vstack([a, math.sqrt(eps) * np.eye(k + 1)])
+    h = v.copy()
+    h[0] += math.copysign(np.linalg.norm(v), v[0])
+    basis = (np.eye(k + 1) - 2.0 * np.outer(h, h) / (h @ h))[:, 1:]
+    particular = v / (v @ v)
+    x = scipy.linalg.lstsq(a @ basis, -(a @ particular), lapack_driver="gelsy")[0]
+    scaled = particular + basis @ x
+    d_vec = scale * scaled
+    r_squared = float(np.sum((top @ d_vec) ** 2)) + eps * float(scaled @ scaled)
+    u0 = problem.hankel[:, 0].reshape(problem.window_count, d)
+    g = math.sqrt(float(problem.row_weights @ (u0 ** 2).sum(axis=1)))
+    return fold @ d_vec, math.sqrt(r_squared), math.sqrt(max(r_squared - eps, 0.0)) / g
+
+
+class TestCompressedSolve:
+    """solve_filter works on the QR triangle of its data with an implicit
+    reflector; the dense full-height solve must give the same filter."""
+
+    @staticmethod
+    def assert_matches_dense(problem, tol=1e-10):
+        solution = solve_filter(problem)
+        c, r, r_g = dense_reference(problem)
+        assert abs(solution.residual - r) <= tol * r
+        assert abs(solution.scale_free_residual - r_g) <= tol * r_g
+        assert np.abs(solution.coefficients - c).max() <= tol * np.abs(c).max()
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_chaotic_seed(self, eps):
+        # K = 100, T = 150, D = 2: 300 rows compress to 101
+        traj = sample_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.3, 0.2), 351)
+        problem = build_problem(difference_signal(traj), 100, 150, eps)
+        self.assert_matches_dense(problem)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_short_system(self, eps):
+        # T * D = K + 1 rows: the triangle is as tall as the data
+        traj = sample_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.3, 0.2), 55)
+        problem = build_problem(difference_signal(traj), 21, 11, eps)
+        assert problem.hankel.shape[0] == 22
+        self.assert_matches_dense(problem)
 
 
 class TestScaleFreeResidual:

@@ -306,6 +306,27 @@ class TestClassify:
         assert cls.tag == "integrable"
         assert cls.period == 2
 
+    def test_nan_tolerance_rejected(self):
+        # once classified integrable: `<= nan` never converged and
+        # `> nan` never tripped the chaos gate
+        with pytest.raises(ContractViolation, match="delta_adapt"):
+            classify_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0),
+                                ClassifyParams(delta_adapt=math.nan, k_max=100))
+
+    def test_nan_gate_fails_closed(self):
+        # bypasses the constructor's check, as a caller mutating params could
+        params = ClassifyParams(k_max=100)
+        params.delta_adapt = params.delta_chaos = math.nan
+        cls = classify_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0), params)
+        assert cls.tag == "chaotic"
+
+    @pytest.mark.parametrize("name", ["delta_adapt", "delta_chaos", "eps_rat",
+                                      "unit_circle_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-8])
+    def test_bad_tolerance_rejected(self, name, value):
+        with pytest.raises(ContractViolation, match=name):
+            ClassifyParams(**{name: value})
+
     def test_fixed_point(self):
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                   (0.0, 0.0))
