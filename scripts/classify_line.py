@@ -14,6 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from birkhoff_rre.cli import run_classify
 from birkhoff_rre.config import RunConfig
+from birkhoff_rre.spectral import ClassifyParams
 
 
 def main():
@@ -34,9 +35,7 @@ def main():
     step = (args.y_max - args.y_min) / max(args.count - 1, 1)
     cfg = RunConfig(
         k=args.k,
-        gamma=args.gamma,
-        delta_adapt=args.delta,
-        k_max=args.k_max,
+        params=ClassifyParams(gamma=args.gamma, delta_adapt=args.delta, k_max=args.k_max),
         seeds=[(args.x, args.y_min + i * step) for i in range(args.count)],
         table=args.table,
         circles=args.circles,

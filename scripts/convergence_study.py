@@ -14,6 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from birkhoff_rre.cli import run_converge
 from birkhoff_rre.config import RunConfig
+from birkhoff_rre.spectral import ClassifyParams
 
 
 def main():
@@ -33,7 +34,7 @@ def main():
         seeds.append((float(x), float(y)))
     cfg = RunConfig(
         k=args.k,
-        gamma=args.gamma,
+        params=ClassifyParams(gamma=args.gamma),
         k_values=args.k_values,
         seeds=seeds,
         table=args.table,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .birkhoff import bump_weights, wba_doubling_residual_at, weighted_average
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import ConfigError, OrbitEscape
 from .fourier import fit_circle, make_observable_advance, validation_residual
 from .maps import (
@@ -30,7 +30,7 @@ from .maps import (
     sample_trajectory,
 )
 from .rre import TrajectorySource, build_problem, difference_signal, solve_filter, window_count_for
-from .spectral import ClassifyParams, classify_trajectory
+from .spectral import classify_trajectory
 
 CSV_COLUMNS = ("seed_x", "seed_y", "class", "period", "rotation",
                "R", "R_G", "R_p", "K", "N", "flags")
@@ -48,24 +48,6 @@ def build_observable(cfg):
     if cfg.observable == "x":
         return CoordinateObservable(0)
     return CoordinateObservable(1)
-
-
-def classify_params(cfg):
-    return ClassifyParams(
-        epsilon=cfg.epsilon,
-        gamma=cfg.gamma,
-        delta_adapt=cfg.delta_adapt,
-        delta_chaos=cfg.delta_chaos,
-        adapt_gate=cfg.adapt_gate,
-        k_init=cfg.k_init,
-        k_max=cfg.k_max,
-        delta_k=cfg.delta_k,
-        eps_rat=cfg.eps_rat,
-        p_max=cfg.p_max,
-        top_modes=cfg.top_modes,
-        unit_circle_tol=cfg.unit_circle_tol,
-        escape_bound=cfg.escape_bound,
-    )
 
 
 def _fmt(value):
@@ -86,7 +68,7 @@ def classify_seed(cfg, seed):
     row["seed_x"], row["seed_y"] = _fmt(float(seed[0])), _fmt(float(seed[1]))
     try:
         dmap, obs = build_map(cfg), build_observable(cfg)
-        cls = classify_trajectory(dmap, obs, seed, classify_params(cfg))
+        cls = classify_trajectory(dmap, obs, seed, cfg.params)
         row["class"] = cls.tag
         diag = cls.diagnostics
         row["R"] = _fmt(diag.get("R"))
@@ -100,9 +82,9 @@ def classify_seed(cfg, seed):
             row["period"] = _fmt(cls.period)
             row["rotation"] = _fmt(cls.rotation)
             try:
-                circle = fit_circle(cls, gamma_max=cfg.gamma_max)
+                circle = fit_circle(cls, gamma_max=cfg.params.gamma_max)
                 advance, substituted = make_observable_advance(dmap, obs)
-                r_p = validation_residual(circle, advance, cfg.validation_j)
+                r_p = validation_residual(circle, advance, cfg.params.validation_j)
                 row["R_p"] = _fmt(r_p)
                 if circle.ill_conditioned:
                     flags.append("ill_conditioned_projection")
@@ -139,9 +121,9 @@ def _circle_json(seed, cls, circle, r_p, flags):
     }
 
 
-def _classify_one(packed):
-    cfg_dict, seed = packed
-    return classify_seed(RunConfig(**cfg_dict), seed)
+def _classify_one(job):
+    # classify_seed is looked up at call time, so a rebinding of it applies
+    return classify_seed(*job)
 
 
 def _write_table(path, rows):
@@ -156,8 +138,7 @@ def run_classify(cfg, out=None):
     """Classify every configured seed and emit the result table."""
     out = out if out is not None else sys.stdout
     workers = cfg.effective_workers()
-    cfg_dict = cfg.__dict__.copy()
-    jobs = [(cfg_dict, seed) for seed in cfg.seeds]
+    jobs = [(cfg, seed) for seed in cfg.seeds]
     if workers == 1:
         results = [_classify_one(job) for job in jobs]
     else:
@@ -187,19 +168,20 @@ def converge_seed(cfg, seed, k_values):
     average is evaluated on the same orbit at half length floor(N/2),
     so both methods see an equal sample budget.
     """
+    params = cfg.params
     dmap, obs = build_map(cfg), build_observable(cfg)
-    source = TrajectorySource(dmap, obs, seed, escape_bound=cfg.escape_bound)
+    source = TrajectorySource(dmap, obs, seed, escape_bound=params.escape_bound)
     dimension = source.take(1).dimension
     out = []
     for k in k_values:
-        t = window_count_for(k, dimension, cfg.gamma)
+        t = window_count_for(k, dimension, params.gamma)
         n = t + 2 * k + 1
         try:
             traj = source.take(n)
         except OrbitEscape:
             break
         solution = solve_filter(
-            build_problem(difference_signal(traj), k, t, cfg.epsilon)
+            build_problem(difference_signal(traj), k, t, params.epsilon)
         )
         r_wba = wba_doubling_residual_at(traj.samples, n // 2)
         out.append((k, n, solution.residual, r_wba))
@@ -208,7 +190,8 @@ def converge_seed(cfg, seed, k_values):
 
 def run_converge(cfg, out=None):
     out = out if out is not None else sys.stdout
-    k_values = cfg.k_values or list(range(cfg.k_init, cfg.k_max + 1, cfg.delta_k))
+    params = cfg.params
+    k_values = cfg.k_values or list(range(params.k_init, params.k_max + 1, params.delta_k))
     with open(cfg.table, "w") as handle:
         handle.write(f"# birkhoff-rre {__version__}\n")
         handle.write("seed_x,seed_y,K,N,R_rre,R_wba\n")
@@ -234,7 +217,7 @@ def run_average(cfg, out=None):
         for seed in cfg.seeds:
             try:
                 traj = sample_trajectory(dmap, obs, seed, cfg.n_samples,
-                                         escape_bound=cfg.escape_bound)
+                                         escape_bound=cfg.params.escape_bound)
                 avg = weighted_average(traj, weights)
                 values = ",".join(_fmt(float(v)) for v in avg)
             except OrbitEscape as exc:

@@ -45,6 +45,7 @@ from .maps import DEFAULT_ESCAPE_BOUND, Trajectory, _advance_orbit, sample_traje
 from .numerics import least_squares_solve
 
 SQRT2 = math.sqrt(2.0)
+ADAPT_GATES = ("scale_free", "residual")  # gate on R_G or on R
 
 
 def difference_signal(trajectory):
@@ -273,10 +274,6 @@ class TrajectorySource:
     def samples_drawn(self):
         return 0 if self._samples is None else self._samples.shape[0]
 
-    @property
-    def map_evaluations(self):
-        return max(0, self.samples_drawn - 1)
-
     def take(self, n):
         if n < 1:
             raise ContractViolation(f"need n >= 1, got {n}")
@@ -324,7 +321,7 @@ def adaptive_solve(source, gamma=3.0, epsilon=0.0, delta=1e-10,
         raise ContractViolation(f"need delta_k >= 1, got {delta_k}")
     if gamma < 1:
         raise ContractViolation(f"need gamma >= 1, got {gamma}")
-    if gate not in ("scale_free", "residual"):
+    if gate not in ADAPT_GATES:
         raise ContractViolation(f"unknown gate {gate!r}")
     dimension = source.take(1).dimension
     history = []

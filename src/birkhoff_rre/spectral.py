@@ -10,15 +10,17 @@ top-ranked irrational frequency is the rotation number.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation, DegreeDeflation, OrbitEscape
-from .maps import Trajectory
+from .fourier import DEFAULT_GAMMA_MAX, DEFAULT_VALIDATION_GRID
+from .maps import DEFAULT_ESCAPE_BOUND, Trajectory
 from .numerics import complex_least_squares_solve, real_eigenvalues
 from .rre import (
+    ADAPT_GATES,
     TrajectorySource,
     adaptive_solve,
     build_problem,
@@ -320,13 +322,18 @@ def unstack_signal(trajectory, period):
 
 @dataclass
 class ClassifyParams:
-    """Knobs for the classification pipeline (defaults match the
-    standard-map experiments)."""
+    """The pipeline's numerical parameters, declared, defaulted and checked
+    in one place.
+
+    Each field is an ``[algorithm]`` key of the run configuration, except
+    ``escape_bound``, which is read from ``[map]``.  The defaults are the
+    standard-map run configuration.  Construction raises
+    ``ContractViolation`` naming the first key whose value is out of range.
+    """
 
     epsilon: float = 0.0
     gamma: float = 3.0
     delta_adapt: float = 1e-10
-    delta_chaos: float = None       # defaults to delta_adapt
     adapt_gate: str = "scale_free"  # or "residual"
     k_init: int = 50
     k_max: int = 600
@@ -335,15 +342,29 @@ class ClassifyParams:
     p_max: int = 50
     top_modes: int = 10
     unit_circle_tol: float = UNIT_CIRCLE_TOL
-    escape_bound: float = 1e6
+    gamma_max: float = DEFAULT_GAMMA_MAX
+    validation_j: int = DEFAULT_VALIDATION_GRID
+    escape_bound: float = DEFAULT_ESCAPE_BOUND
 
     def __post_init__(self):
-        if self.delta_chaos is None:
-            self.delta_chaos = self.delta_adapt
-        for name in ("delta_adapt", "delta_chaos", "eps_rat", "unit_circle_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ContractViolation(f"{name} must be finite and > 0, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ContractViolation(f"{f.name} must be finite, got {value}")
+        for name in ("delta_adapt", "eps_rat", "unit_circle_tol", "escape_bound"):
+            if getattr(self, name) <= 0:
+                raise ContractViolation(f"{name} must be > 0, got {getattr(self, name)}")
+        for name, least in (("epsilon", 0), ("gamma", 1), ("k_init", 1), ("delta_k", 1),
+                            ("p_max", 1), ("top_modes", 1), ("validation_j", 8)):
+            if getattr(self, name) < least:
+                raise ContractViolation(
+                    f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.k_init > self.k_max:
+            raise ContractViolation(f"k_init {self.k_init} exceeds k_max {self.k_max}")
+        if not 0.0 < self.gamma_max <= 0.5:
+            raise ContractViolation(f"gamma_max must be in (0, 0.5], got {self.gamma_max}")
+        if self.adapt_gate not in ADAPT_GATES:
+            raise ContractViolation(f"unknown adapt_gate {self.adapt_gate!r}")
 
 
 @dataclass
@@ -442,13 +463,9 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
             ranking=None, fit_trajectory=traj, diagnostics=diag,
             flags=["fixed_point"],
         )
-    chaos_value = (
-        solution.scale_free_residual
-        if params.adapt_gate == "scale_free"
-        else solution.residual
-    )
-    # a nan residual fails closed to chaotic
-    if not chaos_value <= params.delta_chaos:
+    # adaptive_solve converges only on a gate value <= delta_adapt, so a
+    # nan residual fails closed to chaotic
+    if not result.converged:
         return Classification(tag="chaotic", solution=solution, diagnostics=diag)
     traj = source.take(solution.window_count + 2 * solution.half_length + 1)
     roots = unit_circle_filter(palindromic_roots(solution.coefficients),

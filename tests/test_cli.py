@@ -1,5 +1,7 @@
+import configparser
 import json
 import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from birkhoff_rre.cli import _circle_json, figure2_errors, main
 from birkhoff_rre.config import WORKERS_ENV_VAR, load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
+from birkhoff_rre.spectral import ClassifyParams
 
 
 def write_config(path, body):
@@ -44,11 +47,11 @@ table = {table}
 BAD_VALUES = [
     ("k = 0.7", "k = nan"),
     ("k = 0.7", "k = 0.7\nescape_bound = inf"),
+    ("k = 0.7", "k = 0.7\nescape_bound = nan"),
     ("epsilon = 0", "epsilon = nan"),
     ("gamma = 3", "gamma = nan"),
     ("delta_adapt = 1e-10", "delta_adapt = nan"),
     ("delta_adapt = 1e-10", "delta_adapt = inf"),
-    ("delta_k = 50", "delta_k = 50\ndelta_chaos = nan"),
     ("delta_k = 50", "delta_k = 50\neps_rat = inf"),
     ("delta_k = 50", "delta_k = 50\nunit_circle_tol = nan"),
     ("delta_k = 50", "delta_k = 50\ngamma_max = nan"),
@@ -57,6 +60,7 @@ BAD_VALUES = [
     ("delta_k = 50", "delta_k = 50\np_max = 0"),
     ("delta_k = 50", "delta_k = 50\ntop_modes = 0"),
     ("delta_k = 50", "delta_k = 50\nvalidation_j = 4"),
+    ("delta_k = 50", "delta_k = 50\nn_samples = 0"),
     ("seeds = 0.0 0.0;", "seeds = nan 0.0;"),
     ("seeds = 0.0 0.0;", "seeds = 0.0 inf;"),
 ]
@@ -104,6 +108,27 @@ class TestConfig:
         assert main(["classify", cfg]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    def test_delta_chaos_is_unknown(self, tmp_path, capsys):
+        # the chaos gate is the adaptive solve's own convergence verdict
+        body = BASE.format(table=tmp_path / "t.csv").replace(
+            "delta_k = 50", "delta_k = 50\ndelta_chaos = 1e-10")
+        assert main(["classify", write_config(tmp_path / "bad.ini", body)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "delta_chaos" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_readme_example_is_the_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(write_config(tmp_path / "readme.ini", example))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read_string(example)
+        keys = parser.options("algorithm")
+        assert keys
+        defaults = ClassifyParams()
+        for key in keys:
+            assert getattr(cfg.params, key) == getattr(defaults, key), key
 
     def test_line_seed_grid(self, tmp_path):
         body = BASE.format(table="t.csv").replace(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ from birkhoff_rre.spectral import (
     unstack_signal,
 )
 from checks import GOLDEN, pair_distance
+from test_cli import BAD_VALUES
+
+# the BAD_VALUES rows that set a ClassifyParams field, as (key, raw value)
+PARAM_TYPES = {f.name: f.type for f in fields(ClassifyParams)}
+BAD_PARAMS = [tuple(new.split("\n")[-1].split(" = ")) for _, new in BAD_VALUES]
+BAD_PARAMS = [(key, raw) for key, raw in BAD_PARAMS if key in PARAM_TYPES]
 
 
 def conjugate_pair_filter(omega):
@@ -316,16 +323,22 @@ class TestClassify:
     def test_nan_gate_fails_closed(self):
         # bypasses the constructor's check, as a caller mutating params could
         params = ClassifyParams(k_max=100)
-        params.delta_adapt = params.delta_chaos = math.nan
+        params.delta_adapt = math.nan
         cls = classify_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0), params)
         assert cls.tag == "chaotic"
 
-    @pytest.mark.parametrize("name", ["delta_adapt", "delta_chaos", "eps_rat",
-                                      "unit_circle_tol"])
+    @pytest.mark.parametrize("name", ["delta_adapt", "eps_rat", "unit_circle_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-8])
     def test_bad_tolerance_rejected(self, name, value):
         with pytest.raises(ContractViolation, match=name):
             ClassifyParams(**{name: value})
+
+    @pytest.mark.parametrize("key, raw", BAD_PARAMS,
+                             ids=[f"{key} = {raw}" for key, raw in BAD_PARAMS])
+    def test_bad_config_value_rejected(self, key, raw):
+        # the library fails closed on every value the config loader rejects
+        with pytest.raises(ContractViolation, match=key):
+            ClassifyParams(**{key: PARAM_TYPES[key](raw)})
 
     def test_fixed_point(self):
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(),
