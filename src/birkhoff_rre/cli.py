@@ -29,7 +29,7 @@ from .maps import (
     StandardMap,
     sample_trajectory,
 )
-from .rre import TrajectorySource, build_problem, difference_signal, solve_filter, window_count_for
+from .rre import TrajectorySource, solve_at
 from .spectral import classify_trajectory
 
 CSV_COLUMNS = ("seed_x", "seed_y", "class", "period", "rotation",
@@ -163,28 +163,21 @@ def run_classify(cfg, out=None):
 def converge_seed(cfg, seed, k_values):
     """Budget-matched residual table for one seed.
 
-    For each K, the filter problem uses T = ceil(gamma K / D) windows
-    and N = T + 2K + 1 samples; the doubling residual of the weighted
+    For each K, the filter solve is the adaptive ladder's step at K
+    (rre.solve_at), on N samples; the doubling residual of the weighted
     average is evaluated on the same orbit at half length floor(N/2),
     so both methods see an equal sample budget.
     """
-    params = cfg.params
-    dmap, obs = build_map(cfg), build_observable(cfg)
-    source = TrajectorySource(dmap, obs, seed, escape_bound=params.escape_bound)
-    dimension = source.take(1).dimension
+    source = TrajectorySource(build_map(cfg), build_observable(cfg), seed,
+                              escape_bound=cfg.params.escape_bound)
     out = []
     for k in k_values:
-        t = window_count_for(k, dimension, params.gamma)
-        n = t + 2 * k + 1
         try:
-            traj = source.take(n)
+            traj, solution = solve_at(source, k, cfg.params)
         except OrbitEscape:
             break
-        solution = solve_filter(
-            build_problem(difference_signal(traj), k, t, params.epsilon)
-        )
-        r_wba = wba_doubling_residual_at(traj.samples, n // 2)
-        out.append((k, n, solution.residual, r_wba))
+        n = traj.length
+        out.append((k, n, solution.residual, wba_doubling_residual_at(traj.samples, n // 2)))
     return out
 
 

@@ -100,6 +100,18 @@ def condition_bound(window, omega, num_modes):
     return math.sqrt((1.0 + 2.0 * gamma) / (1.0 - 2.0 * gamma))
 
 
+def weighted_mode_fit(nodes, samples):
+    """(V, rank) minimizing ||W^{1/2} (Phi V - A)||, Phi_{mj} = nodes_j^m.
+
+    A is ``samples`` (N rows), W the bump weights of length N, and V has
+    one row per node; ``rank`` is the solve's effective rank.
+    """
+    n = samples.shape[0]
+    powers = nodes[None, :] ** np.arange(n)[:, None]
+    sqrt_w = np.sqrt(bump_weights(n))[:, None]
+    return complex_least_squares_solve(sqrt_w * powers, sqrt_w * samples)
+
+
 def project_circle(trajectory, omega, num_modes, period=1):
     """Weighted least-squares Fourier coefficients of the trajectory.
 
@@ -120,10 +132,7 @@ def project_circle(trajectory, omega, num_modes, period=1):
             f"dimension {a.shape[1]} is not a multiple of period {period}"
         )
     modes = np.exp(2j * math.pi * omega * (np.arange(2 * l + 1) - l))
-    basis = modes[None, :] ** np.arange(n)[:, None]
-    sqrt_w = np.sqrt(bump_weights(n))[:, None]
-    weighted = sqrt_w * basis
-    coeffs, _ = complex_least_squares_solve(weighted, sqrt_w * a)
+    coeffs, _ = weighted_mode_fit(modes, a)
     cond = condition_bound(n - 1, omega, l)
     return FourierCircle(
         period=period,

@@ -244,14 +244,36 @@ def solve_filter(problem):
 
 
 def solve_from_trajectory(trajectory, half_length, window_count, epsilon=0.0):
-    """Difference, assemble, and solve in one call."""
+    """Difference, assemble, and solve: every filter solve goes through here."""
     u = difference_signal(trajectory)
     return solve_filter(build_problem(u, half_length, window_count, epsilon))
 
 
-def window_count_for(half_length, dimension, gamma):
-    """Window count T = ceil(gamma K / D) used by the adaptive driver."""
-    return max(1, math.ceil(gamma * half_length / dimension))
+def solve_at(source, half_length, params):
+    """One step of the filter-length ladder: the solve at K = ``half_length``.
+
+    Uses T = ceil(gamma K / D) windows, so the first N = T + 2K + 1
+    samples of the orbit in ``source``.  Returns (trajectory, solution).
+    """
+    dimension = source.take(1).dimension
+    t = max(1, math.ceil(params.gamma * half_length / dimension))
+    trajectory = source.take(t + 2 * half_length + 1)
+    return trajectory, solve_from_trajectory(trajectory, half_length, t, params.epsilon)
+
+
+def stacked_shape(length, dimension, half_length):
+    """(K, T) for the solve on all N = T + 2K + 1 samples of a stacked signal.
+
+    K = max(1, ``half_length``), lowered if needed to keep T*D >= K.
+    None when no window is left: the signal is too short to solve.
+    """
+    k = max(1, half_length)
+    t = length - 2 * k - 1
+    min_t = max(1, math.ceil(k / dimension))
+    if t < min_t:
+        k = max(1, (length - min_t - 1) // 2)
+        t = length - 2 * k - 1
+    return (k, t) if t >= 1 else None
 
 
 class TrajectorySource:
@@ -304,38 +326,22 @@ class AdaptiveResult:
         return self.history[-1][1] if self.history else 0
 
 
-def adaptive_solve(source, gamma=3.0, epsilon=0.0, delta=1e-10,
-                   k_init=50, k_max=600, delta_k=50, gate="scale_free"):
-    """Grow the filter length until the residual crosses ``delta``.
+def adaptive_solve(source, params):
+    """Grow the filter length until the gate residual crosses ``delta_adapt``.
 
-    Iterates K = k_init, k_init + delta_k, ... while K <= k_max and the
-    gate residual stays above delta, reusing previously sampled orbit
-    points (each step extends, never restarts, the trajectory).  The
-    gate is the scale-free residual R_G by default; pass
-    gate="residual" to gate on R itself.  Returns the last solution
-    with the per-step history.
+    Runs ``solve_at`` for K = k_init, k_init + delta_k, ... while K <=
+    k_max, reusing previously sampled orbit points (each step extends,
+    never restarts, the trajectory).  ``params`` is a ClassifyParams,
+    whose construction has range-checked every value used here.  The
+    gate is the scale-free residual R_G, or R itself when
+    ``adapt_gate`` is "residual".  Returns the last solution with the
+    per-step history.
     """
-    if k_init > k_max:
-        raise ContractViolation(f"k_init {k_init} exceeds k_max {k_max}")
-    if delta_k < 1:
-        raise ContractViolation(f"need delta_k >= 1, got {delta_k}")
-    if gamma < 1:
-        raise ContractViolation(f"need gamma >= 1, got {gamma}")
-    if gate not in ADAPT_GATES:
-        raise ContractViolation(f"unknown gate {gate!r}")
-    dimension = source.take(1).dimension
     history = []
-    solution = None
-    k = k_init
-    while k <= k_max:
-        t = window_count_for(k, dimension, gamma)
-        traj = source.take(t + 2 * k + 1)
-        solution = solve_filter(build_problem(difference_signal(traj), k, t, epsilon))
-        history.append((k, traj.length, solution.residual, solution.scale_free_residual))
-        gate_value = (
-            solution.scale_free_residual if gate == "scale_free" else solution.residual
-        )
-        if gate_value <= delta:
+    for k in range(params.k_init, params.k_max + 1, params.delta_k):
+        traj, solution = solve_at(source, k, params)
+        r, r_g = solution.residual, solution.scale_free_residual
+        history.append((k, traj.length, r, r_g))
+        if (r if params.adapt_gate == "residual" else r_g) <= params.delta_adapt:
             return AdaptiveResult(solution=solution, converged=True, history=history)
-        k += delta_k
     return AdaptiveResult(solution=solution, converged=False, history=history)

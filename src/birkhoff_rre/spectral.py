@@ -14,18 +14,16 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .birkhoff import bump_weights
 from .errors import ContractViolation, DegreeDeflation, OrbitEscape
-from .fourier import DEFAULT_GAMMA_MAX, DEFAULT_VALIDATION_GRID
+from .fourier import DEFAULT_GAMMA_MAX, DEFAULT_VALIDATION_GRID, weighted_mode_fit
 from .maps import DEFAULT_ESCAPE_BOUND, Trajectory
-from .numerics import complex_least_squares_solve, real_eigenvalues
+from .numerics import real_eigenvalues
 from .rre import (
     ADAPT_GATES,
     TrajectorySource,
     adaptive_solve,
-    build_problem,
-    difference_signal,
-    solve_filter,
+    solve_from_trajectory,
+    stacked_shape,
 )
 
 PALINDROME_TOL = 1e-10
@@ -186,27 +184,23 @@ _CONSTANT_ROOT_TOL = 1e-9
 def mode_prominence(root_set, trajectory):
     """Rank roots by their weighted least-squares share of the signal.
 
-    Solves min_V ||W^{1/2} (Phi V - A)|| with Phi_{mj} = root_j^m over
-    the whole trajectory and bump weights, then scores each root by the
-    Euclidean norm of its row of V.  A constant column (root 1) is
-    included so the signal mean has somewhere to go -- the filter
-    polynomial cannot have 1 as a root -- unless a supplied root
-    already sits there.  Conjugate pairs are merged into single
-    entries with their prominences summed, so one real oscillation is
-    one mode, low-confidence if either root of the pair is.
+    Fits the whole trajectory by the modes root_j^m (weighted_mode_fit)
+    and scores each root by the Euclidean norm of its row of V.  A
+    constant column (root 1) is included so the signal mean has
+    somewhere to go -- the filter polynomial cannot have 1 as a root --
+    unless a supplied root already sits there.  Conjugate pairs are
+    merged into single entries with their prominences summed, so one
+    real oscillation is one mode, low-confidence if either root of the
+    pair is.
     ``rank_deficient`` is set when the solve's effective rank
     falls short of the column count, e.g. for a repeated root.
     """
     roots = root_set.roots
     if roots.shape[0] == 0:
         raise ContractViolation("need at least one root to rank")
-    n = trajectory.length
     add_constant = bool(np.min(np.abs(roots - 1.0)) > _CONSTANT_ROOT_TOL)
     columns = np.concatenate([[1.0 + 0.0j], roots]) if add_constant else roots
-    powers = columns[None, :] ** np.arange(n)[:, None]
-    sqrt_w = np.sqrt(bump_weights(n))[:, None]
-    weighted = sqrt_w * powers
-    v, rank = complex_least_squares_solve(weighted, sqrt_w * trajectory.samples)
+    v, rank = weighted_mode_fit(columns, trajectory.samples)
     prominences = np.linalg.norm(np.atleast_2d(v), axis=1)
     if add_constant:
         prominences = prominences[1:]
@@ -371,12 +365,12 @@ class ClassifyParams:
 class Classification:
     """Outcome for one seed.
 
-    tag is "chaotic", "integrable", or "indeterminate" (residual below
-    the chaos threshold but no unit-circle roots survived -- the
-    rotation cannot be extracted, which is surfaced rather than
-    guessed).  For integrable results, ``rotation`` lies in [0, 1/2]
-    and ``fit_trajectory`` is the (stacked, for islands) signal the
-    Fourier stages should consume.
+    tag is "chaotic", "integrable", or "indeterminate" (the residual
+    converged but the rotation cannot be extracted -- no unit-circle
+    roots, no rotation candidate, or a stacked signal too short to
+    solve -- which is surfaced rather than guessed).  For integrable
+    results, ``rotation`` lies in [0, 1/2] and ``fit_trajectory`` is the
+    (stacked, for islands) signal the Fourier stages should consume.
     """
 
     tag: str
@@ -427,16 +421,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         dynamical_map, observable, x0, escape_bound=params.escape_bound
     )
     try:
-        result = adaptive_solve(
-            source,
-            gamma=params.gamma,
-            epsilon=params.epsilon,
-            delta=params.delta_adapt,
-            k_init=params.k_init,
-            k_max=params.k_max,
-            delta_k=params.delta_k,
-            gate=params.adapt_gate,
-        )
+        result = adaptive_solve(source, params)
     except OrbitEscape as exc:
         return Classification(
             tag="chaotic",
@@ -456,8 +441,8 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         "history": result.history,
     }
     flags = []
+    traj = source.take(result.n_samples)
     if solution.fixed_point:
-        traj = source.take(solution.window_count + 2 * solution.half_length + 1)
         return Classification(
             tag="integrable", period=1, rotation=0.0, solution=solution,
             ranking=None, fit_trajectory=traj, diagnostics=diag,
@@ -467,7 +452,6 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     # nan residual fails closed to chaotic
     if not result.converged:
         return Classification(tag="chaotic", solution=solution, diagnostics=diag)
-    traj = source.take(solution.window_count + 2 * solution.half_length + 1)
     roots = unit_circle_filter(palindromic_roots(solution.coefficients),
                                params.unit_circle_tol)
     diag["n_unit_roots"] = len(roots)
@@ -481,64 +465,50 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     if ranking.rank_deficient:
         flags.append("rank_deficient_modes")
     period = island_period(ranking.entries[:params.top_modes], params)
-    if period == 1:
-        rotation = _extract_rotation(ranking)
-        if rotation is None:
+    if period > 1:
+        # island chain: stack and redo the solve on the wide signal
+        traj = stack_signal(traj, period)
+        shape = stacked_shape(traj.length, traj.dimension, solution.half_length // period)
+        if shape is None:
             return Classification(
-                tag="indeterminate", solution=solution, ranking=ranking,
-                diagnostics=diag, flags=flags + ["no_rotation_candidate"],
+                tag="indeterminate", period=period, solution=solution, ranking=ranking,
+                diagnostics=diag, flags=flags + ["stacked_signal_too_short"],
             )
-        return Classification(
-            tag="integrable", period=1, rotation=rotation, solution=solution,
-            ranking=ranking, fit_trajectory=traj, diagnostics=diag, flags=flags,
-        )
-    # island chain: stack and redo the solve on the wide signal
-    stacked = stack_signal(traj, period)
-    k_hat = max(1, solution.half_length // period)
-    t_hat = stacked.length - 2 * k_hat - 1
-    min_t = max(1, math.ceil(k_hat / stacked.dimension))
-    if t_hat < min_t:
-        k_hat = max(1, (stacked.length - min_t - 1) // 2)
-        t_hat = stacked.length - 2 * k_hat - 1
-    stacked_solution = solve_filter(
-        build_problem(difference_signal(stacked), k_hat, t_hat, params.epsilon)
-    )
-    diag["stacked"] = {
-        "K": k_hat, "T": t_hat,
-        "R": stacked_solution.residual,
-        "R_G": stacked_solution.scale_free_residual,
-    }
-    if stacked_solution.fixed_point:
-        # a periodic orbit: each island component is a single point
-        return Classification(
-            tag="integrable", period=period, rotation=0.0,
-            solution=stacked_solution, ranking=ranking, fit_trajectory=stacked,
-            diagnostics=diag, flags=flags + ["periodic_orbit"],
-        )
-    stacked_roots = unit_circle_filter(
-        palindromic_roots(stacked_solution.coefficients), params.unit_circle_tol
-    )
-    if len(stacked_roots) == 0:
-        return Classification(
-            tag="indeterminate", period=period, solution=stacked_solution,
-            ranking=ranking, diagnostics=diag,
-            flags=flags + ["no_unit_circle_roots_stacked"],
-        )
-    stacked_ranking = mode_prominence(stacked_roots, stacked)
-    rotation = _extract_rotation(stacked_ranking)
+        solution = solve_from_trajectory(traj, *shape, params.epsilon)
+        diag["stacked"] = {
+            "K": shape[0], "T": shape[1],
+            "R": solution.residual,
+            "R_G": solution.scale_free_residual,
+        }
+        if solution.fixed_point:
+            # a periodic orbit: each island component is a single point
+            return Classification(
+                tag="integrable", period=period, rotation=0.0,
+                solution=solution, ranking=ranking, fit_trajectory=traj,
+                diagnostics=diag, flags=flags + ["periodic_orbit"],
+            )
+        roots = unit_circle_filter(palindromic_roots(solution.coefficients),
+                                   params.unit_circle_tol)
+        if len(roots) == 0:
+            return Classification(
+                tag="indeterminate", period=period, solution=solution,
+                ranking=ranking, diagnostics=diag,
+                flags=flags + ["no_unit_circle_roots_stacked"],
+            )
+        ranking = mode_prominence(roots, traj)
+    rotation = _extract_rotation(ranking)
     if rotation is None:
         return Classification(
-            tag="indeterminate", period=period, solution=stacked_solution,
-            ranking=stacked_ranking, diagnostics=diag,
-            flags=flags + ["no_rotation_candidate"],
+            tag="indeterminate", period=period, solution=solution, ranking=ranking,
+            diagnostics=diag, flags=flags + ["no_rotation_candidate"],
         )
-    # one stacking pass only; a rational frequency surviving here is
-    # reported, not recursed on
-    residual_rational = rational_detect(rotation, params.p_max, params.eps_rat)
-    if residual_rational is not None:
-        flags.append(f"stacked_rational:{residual_rational[0]}/{residual_rational[1]}")
+    if period > 1:
+        # one stacking pass only; a rational frequency surviving here is
+        # reported, not recursed on
+        residual_rational = rational_detect(rotation, params.p_max, params.eps_rat)
+        if residual_rational is not None:
+            flags.append(f"stacked_rational:{residual_rational[0]}/{residual_rational[1]}")
     return Classification(
-        tag="integrable", period=period, rotation=rotation,
-        solution=stacked_solution, ranking=stacked_ranking,
-        fit_trajectory=stacked, diagnostics=diag, flags=flags,
+        tag="integrable", period=period, rotation=rotation, solution=solution,
+        ranking=ranking, fit_trajectory=traj, diagnostics=diag, flags=flags,
     )

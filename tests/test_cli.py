@@ -1,6 +1,8 @@
 import configparser
 import json
 import os
+import re
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -50,6 +52,10 @@ BAD_VALUES = [
     ("k = 0.7", "k = 0.7\nescape_bound = nan"),
     ("epsilon = 0", "epsilon = nan"),
     ("gamma = 3", "gamma = nan"),
+    ("gamma = 3", "gamma = 0.5"),
+    ("k_init = 50", "k_init = 700"),
+    ("delta_k = 50", "delta_k = 0"),
+    ("delta_k = 50", "delta_k = 50\nadapt_gate = median"),
     ("delta_adapt = 1e-10", "delta_adapt = nan"),
     ("delta_adapt = 1e-10", "delta_adapt = inf"),
     ("delta_k = 50", "delta_k = 50\neps_rat = inf"),
@@ -130,6 +136,17 @@ class TestConfig:
         for key in keys:
             assert getattr(cfg.params, key) == getattr(defaults, key), key
 
+    def test_readme_names_every_parameter(self):
+        # the ini example's [algorithm] keys plus the keys listed in the
+        # paragraph after it are exactly the ClassifyParams fields
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example, after = readme.split("```ini\n", 1)[1].split("```", 1)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read_string(example)
+        listed = after.split("The numerical keys (", 1)[1].split(")", 1)[0]
+        named = parser.options("algorithm") + re.findall(r"`(?:\[map\] )?(\w+)`", listed)
+        assert sorted(named) == sorted(f.name for f in fields(ClassifyParams))
+
     def test_line_seed_grid(self, tmp_path):
         body = BASE.format(table="t.csv").replace(
             "mode = list\nseeds = 0.0 0.0; 0.1 0.0; 0.5 0.05",
@@ -187,6 +204,22 @@ class TestClassifyCommand:
         assert len(payload["coefficients"]) == 1  # one island block
         assert len(payload["coefficients"][0]) == 2 * payload["L"] + 1
         assert len(payload["coefficients"][0][0]) == 2  # D components, [re, im] each
+
+    def test_fit_failure_keeps_label(self, tmp_path):
+        # a y-only observable cannot be inverted to a map state, so the
+        # circle cannot be validated; the row stays integrable
+        table = tmp_path / "out.csv"
+        circles = tmp_path / "circles"
+        body = BASE.format(table=table).replace(
+            "observable = embedding", "observable = y"
+        ).replace("seeds = 0.0 0.0; 0.1 0.0; 0.5 0.05", "seeds = 0.05 0.1")
+        cfg = write_config(tmp_path / "run.ini", body + f"circles = {circles}\n")
+        assert main(["classify", cfg]) == 0
+        row = read_body(table).splitlines()[1].split(",")
+        assert row[2] == "integrable"
+        assert row[7] == ""
+        assert "fit_failed:NotImplementedError" in row[10].split("|")
+        assert not os.listdir(circles)
 
     def test_parallel_output_identical(self, tmp_path, monkeypatch):
         table = tmp_path / "out.csv"

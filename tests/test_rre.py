@@ -25,6 +25,7 @@ from birkhoff_rre.rre import (
     scale_free_residual,
     solve_filter,
     solve_from_trajectory,
+    stacked_shape,
     symmetrized_tap_weights,
 )
 from birkhoff_rre.spectral import ClassifyParams, palindromic_roots
@@ -221,7 +222,8 @@ class TestScaleFreeResidual:
 class TestAdaptiveSolve:
     def test_fixed_point_stops_immediately(self):
         source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.0, 0.0))
-        result = adaptive_solve(source, gamma=2, k_init=10, k_max=100, delta_k=10)
+        result = adaptive_solve(source, ClassifyParams(gamma=2, k_init=10, k_max=100,
+                                                       delta_k=10))
         assert result.converged
         assert result.solution.fixed_point
         assert result.solution.half_length == 10
@@ -229,8 +231,8 @@ class TestAdaptiveSolve:
 
     def test_chaotic_seed_runs_to_k_max(self):
         source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.5, 0.05))
-        result = adaptive_solve(source, gamma=2, delta=1e-10,
-                                k_init=50, k_max=200, delta_k=50)
+        result = adaptive_solve(source, ClassifyParams(gamma=2, delta_adapt=1e-10,
+                                                       k_init=50, k_max=200, delta_k=50))
         assert not result.converged
         assert result.solution.scale_free_residual > 1e-10
         # cross-check with the long doubling residual: genuinely chaotic
@@ -242,8 +244,8 @@ class TestAdaptiveSolve:
         # D = 1, integer gamma: the final trajectory has (2+gamma)K+1 samples
         gamma = 2
         source = TrajectorySource(StandardMap(0.7), CoordinateObservable(1), (0.1, 0.0))
-        result = adaptive_solve(source, gamma=gamma, delta=1e-11,
-                                k_init=20, k_max=200, delta_k=20)
+        result = adaptive_solve(source, ClassifyParams(gamma=gamma, delta_adapt=1e-11,
+                                                       k_init=20, k_max=200, delta_k=20))
         k = result.solution.half_length
         assert source.samples_drawn == (2 + gamma) * k + 1
         assert result.n_samples == (2 + gamma) * k + 1
@@ -275,6 +277,19 @@ class TestAdaptiveSolve:
             source.take(100)
         assert info.value.step == 30
 
+    @pytest.mark.parametrize("gate, stop_k", [("residual", 100), ("scale_free", 150)])
+    def test_gate_stops_at_first_entry_below_delta(self, gate, stop_k):
+        # at K = 100, R is below delta_adapt and R_G is not
+        params = ClassifyParams(adapt_gate=gate)
+        source = TrajectorySource(StandardMap(0.7), CoordinateObservable(1), (0.05, 0.2))
+        result = adaptive_solve(source, params)
+        column = 2 if gate == "residual" else 3
+        gate_values = [entry[column] for entry in result.history]
+        assert result.converged
+        assert result.solution.half_length == stop_k
+        assert gate_values[-1] <= params.delta_adapt
+        assert all(value > params.delta_adapt for value in gate_values[:-1])
+
     def test_default_run_configuration(self):
         params = ClassifyParams()
         assert params.epsilon == 0.0
@@ -284,13 +299,19 @@ class TestAdaptiveSolve:
         assert params.k_max == 600
         assert params.delta_k == 50
 
-    def test_bad_arguments(self):
-        source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.0))
-        with pytest.raises(ContractViolation):
-            adaptive_solve(source, k_init=100, k_max=50)
-        with pytest.raises(ContractViolation):
-            adaptive_solve(source, delta_k=0)
-        with pytest.raises(ContractViolation):
-            adaptive_solve(source, gamma=0.5)
-        with pytest.raises(ContractViolation):
-            adaptive_solve(source, gate="median")
+
+class TestStackedShape:
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_too_short_to_solve(self, length):
+        # a period-49 chain found at K = 50 stacks 176 samples into 3
+        assert stacked_shape(length, 98, 50 // 49) is None
+
+    def test_uses_every_sample(self):
+        assert stacked_shape(4, 98, 1) == (1, 1)
+        assert stacked_shape(60, 4, 10) == (10, 39)
+
+    def test_shrinks_k_to_keep_enough_windows(self):
+        # K = 20 leaves T = 9 < ceil(20 / 2) = 10 windows; K = 19 leaves 11
+        assert stacked_shape(50, 2, 20) == (19, 11)
+        k, t = stacked_shape(50, 2, 20)
+        assert t * 2 >= k and t + 2 * k + 1 == 50

@@ -313,6 +313,27 @@ class TestClassify:
         assert cls.tag == "integrable"
         assert cls.period == 2
 
+    def test_periodic_orbit(self):
+        # (0, 1/2) and (1/2, 1/2) swap: the stacked signal is constant
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.0, 0.5))
+        assert cls.tag == "integrable"
+        assert cls.period == 2
+        assert cls.rotation == 0.0
+        assert "periodic_orbit" in cls.flags
+
+    def test_stacked_signal_too_short(self):
+        # line seed 7 of the k = 0.7 headline line: at eps_rat = 1e-4 a mode
+        # reads as period 49 at K = 50, and the 176 samples stack into 3
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(),
+                                  (0.05, 0.042424242424242427), ClassifyParams(eps_rat=1e-4))
+        assert cls.tag == "indeterminate"
+        assert cls.period == 49
+        assert cls.flags[-1] == "stacked_signal_too_short"
+        diag = cls.diagnostics
+        assert diag["K"] == 50 and diag["N"] == 176
+        assert diag["R_G"] <= ClassifyParams().delta_adapt
+        assert "stacked" not in diag
+
     def test_nan_tolerance_rejected(self):
         # once classified integrable: `<= nan` never converged and
         # `> nan` never tripped the chaos gate
