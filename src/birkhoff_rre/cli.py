@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 partial per-seed
 failures (or a failed figure2 check).  Output files are deterministic
-for a given configuration at a fixed BLAS thread count; the worker count
-(including the BIRKHOFF_RRE_WORKERS override) never changes their
-contents.  A different BLAS thread count can change trailing float
-digits.
+for a given configuration at a fixed BLAS thread count; the
+``[output] workers`` count never changes their contents.  A different
+BLAS thread count can change trailing float digits.
 """
 
 import argparse
@@ -78,13 +77,13 @@ def classify_seed(cfg, seed):
         row["N"] = _fmt(None if n_samples is None else int(n_samples) - 1)
         flags = list(cls.flags)
         circle_payload = None
+        row["period"] = _fmt(cls.period)
         if cls.tag == "integrable":
-            row["period"] = _fmt(cls.period)
             row["rotation"] = _fmt(cls.rotation)
             try:
-                circle = fit_circle(cls, gamma_max=cfg.params.gamma_max)
+                circle = fit_circle(cls)
                 advance, substituted = make_observable_advance(dmap, obs)
-                r_p = validation_residual(circle, advance, cfg.params.validation_j)
+                r_p = validation_residual(circle, advance)
                 row["R_p"] = _fmt(r_p)
                 if circle.ill_conditioned:
                     flags.append("ill_conditioned_projection")
@@ -137,12 +136,11 @@ def _write_table(path, rows):
 def run_classify(cfg, out=None):
     """Classify every configured seed and emit the result table."""
     out = out if out is not None else sys.stdout
-    workers = cfg.effective_workers()
     jobs = [(cfg, seed) for seed in cfg.seeds]
-    if workers == 1:
+    if cfg.workers == 1:
         results = [_classify_one(job) for job in jobs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_classify_one, jobs))
     rows = [row for row, _ in results]
     _write_table(cfg.table, rows)

@@ -8,7 +8,6 @@ main field hazard for batch runs.  The numerical keys are the fields of
 
 import configparser
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ContractViolation
@@ -19,8 +18,6 @@ _ALGORITHM_KEYS = (
     {f.name for f in fields(ClassifyParams)} - _MAP_KEYS) | {"k_values", "n_samples"}
 _SEED_KEYS = {"mode", "x", "y_min", "y_max", "count", "seeds"}
 _OUTPUT_KEYS = {"table", "circles", "workers"}
-
-WORKERS_ENV_VAR = "BIRKHOFF_RRE_WORKERS"
 
 
 @dataclass
@@ -52,18 +49,6 @@ class RunConfig:
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
         return self
-
-    def effective_workers(self):
-        override = os.environ.get(WORKERS_ENV_VAR)
-        if override:
-            try:
-                value = int(override)
-            except ValueError as exc:
-                raise ConfigError(f"bad {WORKERS_ENV_VAR}={override!r}") from exc
-            if value < 1:
-                raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1")
-            return value
-        return self.workers
 
 
 def _check_keys(parser, section, allowed):

@@ -198,29 +198,25 @@ def validation_residual(circle, advance, grid_size=DEFAULT_VALIDATION_GRID):
     p = circle.period
     thetas = np.arange(grid_size) / grid_size
     values = [eval_circle(circle, j + 1, thetas) for j in range(p)]
-    shifted_first = eval_circle(circle, 1, (thetas + circle.rotation) % 1.0)
+    # component i is carried onto i + 1, and the last onto the rotated first
+    targets = values[1:] + [eval_circle(circle, 1, (thetas + circle.rotation) % 1.0)]
     total = 0.0
     for idx in range(grid_size):
-        for i in range(p - 1):
-            img = advance(values[i][idx])
+        for source, target in zip(values, targets):
+            img = advance(source[idx])
             if not np.all(np.isfinite(img)):
                 raise ValidationFailure(f"map escaped at grid point {idx}")
-            diff = values[i + 1][idx] - img
+            diff = target[idx] - img
             total += float(diff @ diff)
-        img = advance(values[p - 1][idx])
-        if not np.all(np.isfinite(img)):
-            raise ValidationFailure(f"map escaped at grid point {idx}")
-        diff = shifted_first[idx] - img
-        total += float(diff @ diff)
     return math.sqrt(total / (p * grid_size))
 
 
-def fit_circle(classification, gamma_max=DEFAULT_GAMMA_MAX):
+def fit_circle(classification):
     """Choose L and project the classified trajectory onto its modes."""
     traj = classification.fit_trajectory
     if traj is None:
         raise ContractViolation("classification carries no trajectory to fit")
-    num_modes = choose_num_modes(traj.length - 1, classification.rotation, gamma_max)
+    num_modes = choose_num_modes(traj.length - 1, classification.rotation)
     return project_circle(
         traj, classification.rotation, num_modes, classification.period
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ContractViolation, DegreeDeflation, OrbitEscape
-from .fourier import DEFAULT_GAMMA_MAX, DEFAULT_VALIDATION_GRID, weighted_mode_fit
+from .fourier import weighted_mode_fit
 from .maps import DEFAULT_ESCAPE_BOUND, Trajectory
 from .numerics import real_eigenvalues
 from .rre import (
@@ -29,6 +29,7 @@ from .rre import (
 PALINDROME_TOL = 1e-10
 UNIT_CIRCLE_TOL = 1e-7  # about sqrt(machine epsilon)
 CRITICAL_X_TOL = 1e-7   # unfolding is sensitive near x = +-1
+ISLAND_TEST_MODES = 10  # top-ranked modes tested for a rational frequency
 
 
 @dataclass
@@ -173,9 +174,6 @@ class ModeRanking:
     entries: list
     per_root: list = field(default_factory=list)  # (root, prominence) as solved
     rank_deficient: bool = False
-
-    def top(self, n):
-        return self.entries[:n]
 
 
 _CONSTANT_ROOT_TOL = 1e-9
@@ -334,10 +332,6 @@ class ClassifyParams:
     delta_k: int = 50
     eps_rat: float = 1e-8
     p_max: int = 50
-    top_modes: int = 10
-    unit_circle_tol: float = UNIT_CIRCLE_TOL
-    gamma_max: float = DEFAULT_GAMMA_MAX
-    validation_j: int = DEFAULT_VALIDATION_GRID
     escape_bound: float = DEFAULT_ESCAPE_BOUND
 
     def __post_init__(self):
@@ -345,18 +339,16 @@ class ClassifyParams:
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ContractViolation(f"{f.name} must be finite, got {value}")
-        for name in ("delta_adapt", "eps_rat", "unit_circle_tol", "escape_bound"):
+        for name in ("delta_adapt", "eps_rat", "escape_bound"):
             if getattr(self, name) <= 0:
                 raise ContractViolation(f"{name} must be > 0, got {getattr(self, name)}")
         for name, least in (("epsilon", 0), ("gamma", 1), ("k_init", 1), ("delta_k", 1),
-                            ("p_max", 1), ("top_modes", 1), ("validation_j", 8)):
+                            ("p_max", 1)):
             if getattr(self, name) < least:
                 raise ContractViolation(
                     f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.k_init > self.k_max:
             raise ContractViolation(f"k_init {self.k_init} exceeds k_max {self.k_max}")
-        if not 0.0 < self.gamma_max <= 0.5:
-            raise ContractViolation(f"gamma_max must be in (0, 0.5], got {self.gamma_max}")
         if self.adapt_gate not in ADAPT_GATES:
             raise ContractViolation(f"unknown adapt_gate {self.adapt_gate!r}")
 
@@ -389,7 +381,7 @@ def island_period(entries, params):
     Each non-constant mode is tested with ``rational_detect`` at
     ``eps_rat``.  A low-confidence mode comes from a root near z = +-1,
     where the colleague root is accurate only to about sqrt(machine
-    epsilon); it is tested at max(eps_rat, unit_circle_tol), so a
+    epsilon); it is tested at max(eps_rat, UNIT_CIRCLE_TOL), so a
     palindromic double root at z = -1 reads as 1/2 however its last bits
     round.  Returns 1 when no mode is rational.
     """
@@ -399,7 +391,7 @@ def island_period(entries, params):
             continue
         tol = params.eps_rat
         if entry.low_confidence:
-            tol = max(tol, params.unit_circle_tol)
+            tol = max(tol, UNIT_CIRCLE_TOL)
         verdict = rational_detect(entry.frequency, params.p_max, tol)
         if verdict is not None and verdict[1] > period:
             period = verdict[1]
@@ -452,8 +444,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     # nan residual fails closed to chaotic
     if not result.converged:
         return Classification(tag="chaotic", solution=solution, diagnostics=diag)
-    roots = unit_circle_filter(palindromic_roots(solution.coefficients),
-                               params.unit_circle_tol)
+    roots = unit_circle_filter(palindromic_roots(solution.coefficients))
     diag["n_unit_roots"] = len(roots)
     diag["n_low_confidence_roots"] = int(np.count_nonzero(roots.low_confidence))
     if len(roots) == 0:
@@ -464,7 +455,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     ranking = mode_prominence(roots, traj)
     if ranking.rank_deficient:
         flags.append("rank_deficient_modes")
-    period = island_period(ranking.entries[:params.top_modes], params)
+    period = island_period(ranking.entries[:ISLAND_TEST_MODES], params)
     if period > 1:
         # island chain: stack and redo the solve on the wide signal
         traj = stack_signal(traj, period)
@@ -487,8 +478,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
                 solution=solution, ranking=ranking, fit_trajectory=traj,
                 diagnostics=diag, flags=flags + ["periodic_orbit"],
             )
-        roots = unit_circle_filter(palindromic_roots(solution.coefficients),
-                                   params.unit_circle_tol)
+        roots = unit_circle_filter(palindromic_roots(solution.coefficients))
         if len(roots) == 0:
             return Classification(
                 tag="indeterminate", period=period, solution=solution,

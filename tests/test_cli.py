@@ -1,4 +1,5 @@
 import configparser
+import importlib.util
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from birkhoff_rre.cli import _circle_json, figure2_errors, main
-from birkhoff_rre.config import WORKERS_ENV_VAR, load_config
+from birkhoff_rre.config import load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
 from birkhoff_rre.spectral import ClassifyParams
@@ -59,17 +60,18 @@ BAD_VALUES = [
     ("delta_adapt = 1e-10", "delta_adapt = nan"),
     ("delta_adapt = 1e-10", "delta_adapt = inf"),
     ("delta_k = 50", "delta_k = 50\neps_rat = inf"),
-    ("delta_k = 50", "delta_k = 50\nunit_circle_tol = nan"),
-    ("delta_k = 50", "delta_k = 50\ngamma_max = nan"),
-    ("delta_k = 50", "delta_k = 50\ngamma_max = 0.9"),
-    ("delta_k = 50", "delta_k = 50\ngamma_max = 0"),
     ("delta_k = 50", "delta_k = 50\np_max = 0"),
-    ("delta_k = 50", "delta_k = 50\ntop_modes = 0"),
-    ("delta_k = 50", "delta_k = 50\nvalidation_j = 4"),
     ("delta_k = 50", "delta_k = 50\nn_samples = 0"),
     ("seeds = 0.0 0.0;", "seeds = nan 0.0;"),
     ("seeds = 0.0 0.0;", "seeds = 0.0 inf;"),
 ]
+
+
+# keys that are not [algorithm] parameters, each with a value in range, so
+# only the key itself can be rejected: the chaos gate is the adaptive
+# solve's own convergence verdict, and the other four are module constants
+REMOVED_KEYS = [("delta_chaos", "1e-10"), ("top_modes", "10"), ("unit_circle_tol", "1e-7"),
+                ("gamma_max", "0.5"), ("validation_j", "128")]
 
 
 def read_body(path):
@@ -115,13 +117,13 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
-    def test_delta_chaos_is_unknown(self, tmp_path, capsys):
-        # the chaos gate is the adaptive solve's own convergence verdict
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS, ids=[k for k, _ in REMOVED_KEYS])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
         body = BASE.format(table=tmp_path / "t.csv").replace(
-            "delta_k = 50", "delta_k = 50\ndelta_chaos = 1e-10")
+            "delta_k = 50", f"delta_k = 50\n{key} = {value}")
         assert main(["classify", write_config(tmp_path / "bad.ini", body)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "delta_chaos" in err
+        assert "config error" in err and key in err
         assert not (tmp_path / "t.csv").exists()
 
     def test_readme_example_is_the_default(self, tmp_path):
@@ -157,14 +159,18 @@ class TestConfig:
                            [(0.05, 0.0), (0.05, 0.2), (0.05, 0.4), (0.05, 0.6)],
                            atol=1e-15)
 
-    def test_workers_env_override(self, tmp_path, monkeypatch):
-        cfg = load_config(write_config(tmp_path / "ok.ini", BASE.format(table="t.csv")))
-        assert cfg.effective_workers() == 1
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert cfg.effective_workers() == 3
-        monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
-        with pytest.raises(ConfigError):
-            cfg.effective_workers()
+    def test_benchmark_configs_load(self, tmp_path):
+        # every benchmark workload's config stays a valid run configuration
+        path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            indices = workloads.seed_order(name, 0)
+            text = workloads.config_text(name, indices)
+            cfg = load_config(write_config(tmp_path / f"{name}.ini", text))
+            assert cfg.seeds == [workloads.line_point(workloads.WORKLOADS[name]["line"], i)
+                                 for i in indices], name
 
 
 class TestClassifyCommand:
@@ -221,14 +227,29 @@ class TestClassifyCommand:
         assert "fit_failed:NotImplementedError" in row[10].split("|")
         assert not os.listdir(circles)
 
-    def test_parallel_output_identical(self, tmp_path, monkeypatch):
+    def test_parallel_output_identical(self, tmp_path):
         table = tmp_path / "out.csv"
-        cfg = write_config(tmp_path / "run.ini", BASE.format(table=table))
-        assert main(["classify", cfg]) == 0
+        serial_cfg = write_config(tmp_path / "serial.ini", BASE.format(table=table))
+        assert main(["classify", serial_cfg]) == 0
         serial = read_body(table)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        assert main(["classify", cfg]) == 0
+        parallel_cfg = write_config(tmp_path / "parallel.ini",
+                                    BASE.format(table=table) + "workers = 2\n")
+        assert main(["classify", parallel_cfg]) == 0
         assert read_body(table) == serial
+
+    def test_indeterminate_island_row_shows_period(self, tmp_path):
+        # line seed 7 of the k = 0.7 headline line: at eps_rat = 1e-4 a mode
+        # reads as period 49, too long a chain to stack at K = 50
+        table = tmp_path / "out.csv"
+        body = BASE.format(table=table).replace(
+            "delta_k = 50", "delta_k = 50\neps_rat = 1e-4"
+        ).replace("seeds = 0.0 0.0; 0.1 0.0; 0.5 0.05", "seeds = 0.05 0.042424242424242427")
+        assert main(["classify", write_config(tmp_path / "run.ini", body)]) == 0
+        row = read_body(table).splitlines()[1].split(",")
+        assert row[2] == "indeterminate"
+        assert row[3] == "49"
+        assert row[4] == "" and row[7] == ""
+        assert row[10].split("|")[-1] == "stacked_signal_too_short"
 
     def test_budget_accounting_scalar_observable(self, tmp_path):
         table = tmp_path / "out.csv"

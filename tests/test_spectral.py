@@ -228,7 +228,7 @@ class TestIslandPeriod:
         assert island_period([self.mode(0.5 - 1.03e-8, False)], params) == 1
 
     def test_low_confidence_tolerance_never_below_eps_rat(self):
-        params = ClassifyParams(eps_rat=1e-6, unit_circle_tol=1e-7)
+        params = ClassifyParams(eps_rat=1e-6)
         assert island_period([self.mode(0.5 - 5e-7, True)], params) == 2
 
     def test_constant_mode_ignored(self):
@@ -348,7 +348,7 @@ class TestClassify:
         cls = classify_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0), params)
         assert cls.tag == "chaotic"
 
-    @pytest.mark.parametrize("name", ["delta_adapt", "eps_rat", "unit_circle_tol"])
+    @pytest.mark.parametrize("name", ["delta_adapt", "eps_rat"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-8])
     def test_bad_tolerance_rejected(self, name, value):
         with pytest.raises(ContractViolation, match=name):
