@@ -72,5 +72,4 @@ from .spectral import (
     rational_detect,
     stack_signal,
     unit_circle_filter,
-    unstack_signal,
 )

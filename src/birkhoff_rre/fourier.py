@@ -15,7 +15,7 @@ import numpy as np
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation, ValidationFailure
-from .numerics import complex_least_squares_solve
+from .numerics import least_squares_solve
 
 DEFAULT_GAMMA_MAX = 0.5
 DEFAULT_VALIDATION_GRID = 128
@@ -27,9 +27,9 @@ class FourierCircle:
     """Truncated Fourier model of a period-p chain of circles.
 
     ``coefficients`` has shape (2L+1, p*D); row l+L holds mode l, and
-    the D columns starting at (j-1)*D hold island component j.
-    ``reality_defect`` records max |V_{-l} - conj(V_l)|, which is at
-    roundoff level for real signals.  ``condition_estimate`` is the
+    the D columns starting at (j-1)*D hold island component j.  The
+    rows are exactly conjugate symmetric, V_{-l} = conj(V_l), so the
+    model is real.  ``condition_estimate`` is the
     Gershgorin upper bound on the weighted basis' condition number (see
     condition_bound), inf when that bound fails; ``ill_conditioned``
     marks a bound above CONDITION_WARNING.
@@ -42,11 +42,6 @@ class FourierCircle:
     dimension: int          # observable dimension D of one component
     condition_estimate: float = 0.0
     ill_conditioned: bool = False
-
-    @property
-    def reality_defect(self):
-        v = self.coefficients
-        return float(np.abs(v[::-1].conj() - v).max())
 
 
 def _gamma_sums(window, omega, terms):
@@ -101,24 +96,40 @@ def condition_bound(window, omega, num_modes):
 
 
 def weighted_mode_fit(nodes, samples):
-    """(V, rank) minimizing ||W^{1/2} (Phi V - A)||, Phi_{mj} = nodes_j^m.
+    """(V, rank_deficient) minimizing ||W^{1/2} (Re(Phi V) - A)||, Phi_{mj} = nodes_j^m.
 
     A is ``samples`` (N rows), W the bump weights of length N, and V has
-    one row per node; ``rank`` is the solve's effective rank.
+    one row per node.  The fit runs in real arithmetic: for a node
+    r e^{i theta}, Re(r^m e^{i m theta} V_j) = r^m (C cos(m theta) +
+    S sin(m theta)) with V_j = C - iS, so each node gets the column
+    r^m cos(m theta), and a node off the real axis also r^m sin(m theta).
+    A node on the real axis gets a real V_j.  For a real signal, one
+    node z stands for the conjugate pair z, conj(z): their complex
+    coefficients are V_j / 2 and conj(V_j) / 2.  ``rank_deficient`` is
+    set when the solve's effective rank falls short of its column count,
+    e.g. for a repeated node.
     """
     n = samples.shape[0]
-    powers = nodes[None, :] ** np.arange(n)[:, None]
+    m = np.arange(n)[:, None]
+    off_axis = nodes.imag != 0
+    phase = m * np.angle(nodes)
     sqrt_w = np.sqrt(bump_weights(n))[:, None]
-    return complex_least_squares_solve(sqrt_w * powers, sqrt_w * samples)
+    scale = sqrt_w * np.abs(nodes) ** m
+    basis = np.hstack([scale * np.cos(phase), scale[:, off_axis] * np.sin(phase[:, off_axis])])
+    x, rank = least_squares_solve(basis, sqrt_w * samples, strict_rank=True)
+    v = x[:nodes.shape[0]].astype(complex)
+    v[off_axis] -= 1j * x[nodes.shape[0]:]
+    return v, rank < basis.shape[1]
 
 
 def project_circle(trajectory, omega, num_modes, period=1):
     """Weighted least-squares Fourier coefficients of the trajectory.
 
-    The basis columns are lambda_n^m with lambda_n = e^{2 pi i omega (n-L)}
-    for n = 0..2L, and rows carry the bump weights of the full sample
-    length.  For period > 1 the trajectory must already be the stacked
-    signal (dimension period * D).
+    The modes are lambda_l^m with lambda_l = e^{2 pi i omega l} for
+    |l| <= L, and rows carry the bump weights of the full sample length.
+    The fit is real (weighted_mode_fit on l = 0..L), and V_{-l} =
+    conj(V_l) is set from it.  For period > 1 the trajectory must already
+    be the stacked signal (dimension period * D).
     """
     a = trajectory.samples
     n = a.shape[0]
@@ -131,8 +142,8 @@ def project_circle(trajectory, omega, num_modes, period=1):
         raise ContractViolation(
             f"dimension {a.shape[1]} is not a multiple of period {period}"
         )
-    modes = np.exp(2j * math.pi * omega * (np.arange(2 * l + 1) - l))
-    coeffs, _ = weighted_mode_fit(modes, a)
+    v, _ = weighted_mode_fit(np.exp(2j * math.pi * omega * np.arange(l + 1)), a)
+    coeffs = np.concatenate([v[:0:-1].conj() / 2, v[:1], v[1:] / 2])
     cond = condition_bound(n - 1, omega, l)
     return FourierCircle(
         period=period,
@@ -150,8 +161,7 @@ def eval_circle(circle, component, theta):
 
     Components are 1-indexed (1 <= j <= period).  ``theta`` is a scalar,
     giving one value of shape (D,), or an array of angles, giving one
-    row per angle.  The imaginary residue discarded here is bounded by
-    the circle's reality defect.
+    row per angle.
     """
     if not 1 <= component <= circle.period:
         raise ContractViolation(

@@ -1,11 +1,13 @@
 """Dense linear-algebra kernels with explicit contracts.
 
-Every solver decision used elsewhere in the package is isolated here:
-least squares go through an orthogonal factorization (never normal
-equations, which square the condition number and destroy the
-near-machine-precision residuals the rest of the pipeline relies on),
-and eigenvalues go through the standard Hessenberg + shifted-QR path.
-All functions are pure and validate their inputs eagerly.
+Every solver decision used elsewhere in the package is isolated here.
+Least squares go through one orthogonal-factorization routine,
+``least_squares_solve`` (never normal equations, which square the
+condition number and destroy the near-machine-precision residuals the
+rest of the pipeline relies on): the filter solve and the real-basis
+mode fits both call it, each with its own rank cutoff.  Eigenvalues go
+through the standard Hessenberg + shifted-QR path.  All functions are
+pure and validate their inputs eagerly.
 """
 
 import numpy as np
@@ -18,61 +20,50 @@ def _as_matrix(a, name, dtype):
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ContractViolation(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float) if np.iscomplexobj(a) else a)):
+    if not np.all(np.isfinite(a)):
         raise ContractViolation(f"{name} contains non-finite entries")
     return a
 
 
-def least_squares_solve(a, b):
-    """Minimum-norm least-squares solution of ``a @ x = b`` for real data.
+def least_squares_solve(a, b, strict_rank=False, dtype=float):
+    """Columnwise minimum-norm least squares for ``a @ X = b``.
 
-    ``a`` is m-by-n with m >= n; ``b`` has length m.  Uses a complete
-    orthogonal factorization (LAPACK gelsy), which returns the
-    minimum-norm minimizer when ``a`` is rank deficient.
+    ``a`` is m-by-n with m >= n; ``b`` is a vector of length m or an
+    m-row matrix of stacked right-hand sides, and the solution has as
+    many dimensions as ``b``.  Uses a complete orthogonal factorization
+    (LAPACK gelsy), which returns the minimum-norm minimizer when ``a``
+    is rank deficient.  Returns ``(solution, rank)``: ``rank`` is the
+    effective rank that gelsy's pivoted QR settles on.  Singular values
+    estimated below eps times the largest count as zero -- gelsy's
+    default, which the filter solve needs near convergence -- or, with
+    ``strict_rank``, below max(m, n) * eps, the tolerance of
+    ``np.linalg.matrix_rank``: eps alone can call a Vandermonde matrix
+    with a repeated node full rank.
     """
-    a = _as_matrix(a, "a", float)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise ContractViolation(f"b must be a vector, got shape {b.shape}")
-    m, n = a.shape
-    if m < n:
-        raise ContractViolation(f"need m >= n, got {m} x {n}")
-    if b.shape[0] != m:
-        raise ContractViolation(f"b has length {b.shape[0]}, expected {m}")
-    if not np.all(np.isfinite(b)):
-        raise ContractViolation("b contains non-finite entries")
-    x, _, _, _ = scipy.linalg.lstsq(a, b, lapack_driver="gelsy", check_finite=False)
-    return x
-
-
-def complex_least_squares_solve(a, b):
-    """Columnwise minimum-norm least squares for complex ``a @ X = b``.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    solution has one column per column of ``b``.  Returns
-    ``(solution, rank)``: ``rank`` is the effective rank that gelsy's
-    pivoted QR settles on, with singular values estimated below
-    max(m, n) * eps times the largest treated as zero -- the tolerance
-    of ``np.linalg.matrix_rank``.  (gelsy's default cutoff, eps alone,
-    can call a Vandermonde matrix with a repeated node full rank.)
-    """
-    a = _as_matrix(a, "a", complex)
-    b = np.asarray(b, dtype=complex)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    if b.ndim != 2:
+    a = _as_matrix(a, "a", dtype)
+    b = np.asarray(b, dtype=dtype)
+    if b.ndim not in (1, 2):
         raise ContractViolation(f"b must be a vector or matrix, got shape {b.shape}")
     m, n = a.shape
     if m < n:
         raise ContractViolation(f"need m >= n, got {m} x {n}")
     if b.shape[0] != m:
         raise ContractViolation(f"b has {b.shape[0]} rows, expected {m}")
-    if not np.all(np.isfinite(b.view(float))):
+    if not np.all(np.isfinite(b)):
         raise ContractViolation("b contains non-finite entries")
-    x, _, rank, _ = scipy.linalg.lstsq(a, b, cond=max(m, n) * np.finfo(float).eps,
-                                       lapack_driver="gelsy", check_finite=False)
-    return (x[:, 0] if squeeze else x), int(rank)
+    cond = max(m, n) * np.finfo(float).eps if strict_rank else None
+    x, _, rank, _ = scipy.linalg.lstsq(a, b, cond=cond, lapack_driver="gelsy",
+                                       check_finite=False)
+    return x, int(rank)
+
+
+def complex_least_squares_solve(a, b):
+    """``least_squares_solve`` in complex arithmetic with ``strict_rank``.
+
+    The package fits its modes in real arithmetic; this complex form of
+    the same solve is the reference those fits are tested against.
+    """
+    return least_squares_solve(a, b, strict_rank=True, dtype=complex)
 
 
 def real_eigenvalues(m):

@@ -217,7 +217,7 @@ def solve_filter(problem):
     if eps > 0.0:
         system = np.vstack([system, math.sqrt(eps) * np.eye(k)])
         rhs = np.concatenate([rhs, np.zeros(k)])
-    x = least_squares_solve(system, rhs)
+    x, _ = least_squares_solve(system, rhs)
     scaled = particular - (beta * (h[1:] @ x)) * h
     scaled[1:] += x
     d_vec = scale * scaled

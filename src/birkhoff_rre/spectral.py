@@ -172,7 +172,6 @@ class ModeRanking:
     """Modes sorted by descending prominence in the signal."""
 
     entries: list
-    per_root: list = field(default_factory=list)  # (root, prominence) as solved
     rank_deficient: bool = False
 
 
@@ -183,45 +182,44 @@ def mode_prominence(root_set, trajectory):
     """Rank roots by their weighted least-squares share of the signal.
 
     Fits the whole trajectory by the modes root_j^m (weighted_mode_fit)
-    and scores each root by the Euclidean norm of its row of V.  A
-    constant column (root 1) is included so the signal mean has
-    somewhere to go -- the filter polynomial cannot have 1 as a root --
-    unless a supplied root already sits there.  Conjugate pairs are
-    merged into single entries with their prominences summed, so one
-    real oscillation is one mode, low-confidence if either root of the
-    pair is.
+    with one node per conjugate pair: the root with positive imaginary
+    part, and a root on the real axis once (z = +-1 comes as the pair
+    +-1 + 0j, +-1 - 0j).  A node's prominence is the Euclidean norm of
+    its row of V, the summed prominence of the pair.  A constant column
+    (root 1) is included so the signal mean has somewhere to go -- the
+    filter polynomial cannot have 1 as a root -- unless a supplied root
+    already sits there.  Nodes of equal frequency are merged into one
+    entry with their prominences summed, so one real oscillation is one
+    mode, low-confidence if any of its roots is.
     ``rank_deficient`` is set when the solve's effective rank
     falls short of the column count, e.g. for a repeated root.
     """
     roots = root_set.roots
     if roots.shape[0] == 0:
         raise ContractViolation("need at least one root to rank")
+    is_node = ~np.signbit(roots.imag)
     add_constant = bool(np.min(np.abs(roots - 1.0)) > _CONSTANT_ROOT_TOL)
-    columns = np.concatenate([[1.0 + 0.0j], roots]) if add_constant else roots
-    v, rank = weighted_mode_fit(columns, trajectory.samples)
-    prominences = np.linalg.norm(np.atleast_2d(v), axis=1)
-    if add_constant:
-        prominences = prominences[1:]
-    per_root = list(zip(roots.tolist(), prominences.tolist()))
+    nodes = roots[is_node]
+    columns = np.concatenate([[1.0 + 0.0j], nodes]) if add_constant else nodes
+    v, rank_deficient = weighted_mode_fit(columns, trajectory.samples)
+    row_norms = np.linalg.norm(v, axis=1)
+    prominences = np.zeros(roots.shape[0])
+    prominences[is_node] = row_norms[1:] if add_constant else row_norms
     groups = {}
-    for (z, p), shaky in zip(per_root, root_set.low_confidence.tolist()):
+    for z, node, p, shaky in zip(roots.tolist(), is_node.tolist(), prominences.tolist(),
+                                 root_set.low_confidence.tolist()):
         freq = canonical_frequency(z)
         key = round(freq / _CONSTANT_ROOT_TOL)
-        rep = z if z.imag >= 0 else np.conj(z)
         if key in groups:
             old = groups[key]
             groups[key] = ModeEntry(root=old.root, frequency=old.frequency,
                                     prominence=old.prominence + p,
                                     low_confidence=old.low_confidence or shaky)
         else:
-            groups[key] = ModeEntry(root=complex(rep), frequency=freq, prominence=float(p),
-                                    low_confidence=shaky)
+            groups[key] = ModeEntry(root=z if node else z.conjugate(), frequency=freq,
+                                    prominence=p, low_confidence=shaky)
     entries = sorted(groups.values(), key=lambda e: -e.prominence)
-    return ModeRanking(
-        entries=entries,
-        per_root=per_root,
-        rank_deficient=bool(rank < columns.shape[0]),
-    )
+    return ModeRanking(entries=entries, rank_deficient=rank_deficient)
 
 
 def rational_detect(omega, p_max, tol):
@@ -302,14 +300,6 @@ def stack_signal(trajectory, period):
     n = (a.shape[0] // period) * period
     stacked = a[:n].reshape(n // period, period * a.shape[1])
     return Trajectory(stacked)
-
-
-def unstack_signal(trajectory, period):
-    """Inverse of stack_signal on the retained prefix."""
-    if period == 1:
-        return trajectory
-    a = trajectory.samples
-    return Trajectory(a.reshape(a.shape[0] * period, a.shape[1] // period))
 
 
 @dataclass

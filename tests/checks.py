@@ -5,6 +5,9 @@ import math
 import numpy as np
 import scipy.optimize
 
+from birkhoff_rre.birkhoff import bump_weights
+from birkhoff_rre.numerics import complex_least_squares_solve
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -31,8 +34,6 @@ def wba_feasible_objective(u, k, t, eps):
     over the sliding windows; independent of the solver's Hankel and
     folding machinery.
     """
-    from birkhoff_rre.birkhoff import bump_weights
-
     w_row = bump_weights(t)
     w_tap = bump_weights(2 * k + 1)
     w_tap = 0.5 * (w_tap + w_tap[::-1])
@@ -43,3 +44,16 @@ def wba_feasible_objective(u, k, t, eps):
         total += w_row[row] * float(filtered @ filtered)
     # regularization term of the feasible filter: eps * sum w~_k^2 / w~_k
     return total + eps * float(w_tap.sum())
+
+
+def complex_mode_fit(nodes, samples):
+    """(V, rank) minimizing ||W^{1/2} (Phi V - A)||, Phi_{mj} = nodes_j^m.
+
+    The complex Vandermonde fit, one column per node: the reference for
+    the package's real-basis ``weighted_mode_fit``.  A is ``samples``
+    (N rows) and W the bump weights of length N.
+    """
+    n = samples.shape[0]
+    powers = nodes[None, :] ** np.arange(n)[:, None]
+    sqrt_w = np.sqrt(bump_weights(n))[:, None]
+    return complex_least_squares_solve(sqrt_w * powers, sqrt_w * samples)

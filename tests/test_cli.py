@@ -172,6 +172,18 @@ class TestConfig:
             assert cfg.seeds == [workloads.line_point(workloads.WORKLOADS[name]["line"], i)
                                  for i in indices], name
 
+    def test_benchmark_probe_targets_exist(self):
+        # a traced benchmark run wraps these package names; each must exist
+        path = Path(__file__).parents[1] / "perfbench" / "probe.py"
+        spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+        probe = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probe)
+        targets = list(probe.LAYER_FUNCTIONS.values())
+        targets += [(probe.cli, attr) for attr in probe.SEED_FUNCTIONS.values()]
+        targets += [(probe.rre.TrajectorySource, "take"), (probe.maps.StandardMap, "step")]
+        for owner, attr in targets:
+            assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
 
 class TestClassifyCommand:
     def test_rows_and_determinism(self, tmp_path):

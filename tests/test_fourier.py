@@ -24,7 +24,7 @@ from birkhoff_rre.maps import (
     sample_trajectory,
 )
 from birkhoff_rre.spectral import classify_trajectory
-from checks import GOLDEN
+from checks import GOLDEN, complex_mode_fit
 
 
 def toeplitz_gamma(window, omega, num_modes):
@@ -94,7 +94,19 @@ class TestProjectCircle:
         traj = sample_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                  (0.1, 0.0), 200)
         circle = project_circle(traj, 0.1330925079753239, 6)
-        assert circle.reality_defect < 1e-8
+        v = circle.coefficients
+        assert np.array_equal(v[::-1].conj(), v)
+
+    # a circle and the period-3 chain on the k = 0.7 line
+    @pytest.mark.parametrize("y", [10 * (0.6 / 99), 60 * (0.6 / 99)])
+    def test_matches_complex_reference(self, y):
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, y))
+        circle = fit_circle(cls)
+        l = circle.num_modes
+        assert l > 0
+        modes = np.exp(2j * np.pi * cls.rotation * (np.arange(2 * l + 1) - l))
+        v, _ = complex_mode_fit(modes, cls.fit_trajectory.samples)
+        assert np.abs(circle.coefficients - v).max() <= 1e-10
 
     def test_near_zero_frequency_flagged_ill_conditioned(self):
         # all 2L+1 modes nearly coincide: the Gershgorin bound fails

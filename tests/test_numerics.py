@@ -14,19 +14,22 @@ from checks import pair_distance
 
 class TestLeastSquares:
     def test_consistent_column(self):
-        x = least_squares_solve(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
+        x, _ = least_squares_solve(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
         assert np.allclose(x, [1.0], atol=1e-14)
 
     def test_identity(self):
-        x = least_squares_solve(np.eye(2), np.array([3.0, 4.0]))
+        x, _ = least_squares_solve(np.eye(2), np.array([3.0, 4.0]))
         assert np.allclose(x, [3.0, 4.0], atol=1e-14)
+        x, _ = least_squares_solve(np.eye(2), np.array([[3.0, 1.0], [4.0, 2.0]]))
+        assert np.allclose(x, [[3.0, 1.0], [4.0, 2.0]], atol=1e-14)
 
     def test_line_fit(self):
         # Vandermonde on nodes 0, 1, 2 fitting b = (0, 1, 2): slope one,
         # intercept zero by the normal equations worked by hand
         a = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        x = least_squares_solve(a, np.array([0.0, 1.0, 2.0]))
+        x, rank = least_squares_solve(a, np.array([0.0, 1.0, 2.0]))
         assert np.allclose(x, [0.0, 1.0], atol=1e-13)
+        assert rank == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
@@ -41,14 +44,19 @@ class TestLeastSquares:
     @given(st.integers(2, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_residual_orthogonality(self, n, seed):
+        # a matrix right-hand side is solved column by column
         rng = np.random.default_rng(seed)
         m = n + rng.integers(1, 8)
         a = rng.standard_normal((m, n))
-        b = rng.standard_normal(m)
-        x = least_squares_solve(a, b)
-        residual = a @ x - b
-        bound = 1e-10 * np.linalg.norm(a, 2) * np.linalg.norm(b)
-        assert np.linalg.norm(a.T @ residual) <= bound
+        b = rng.standard_normal((m, 3))
+        x, rank = least_squares_solve(a, b)
+        assert x.shape == (n, 3) and rank == n
+        for j in range(3):
+            column, _ = least_squares_solve(a, b[:, j])
+            assert np.abs(x[:, j] - column).max() <= 1e-12 * np.abs(column).max()
+            residual = a @ column - b[:, j]
+            bound = 1e-10 * np.linalg.norm(a, 2) * np.linalg.norm(b[:, j])
+            assert np.linalg.norm(a.T @ residual) <= bound
 
 
 class TestComplexLeastSquares:

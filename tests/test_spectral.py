@@ -13,7 +13,7 @@ from birkhoff_rre.maps import (
     Trajectory,
     sample_trajectory,
 )
-from birkhoff_rre.rre import solve_from_trajectory
+from birkhoff_rre.rre import TrajectorySource, adaptive_solve, solve_from_trajectory
 from birkhoff_rre.spectral import (
     ClassifyParams,
     ModeEntry,
@@ -29,9 +29,8 @@ from birkhoff_rre.spectral import (
     rational_detect,
     stack_signal,
     unit_circle_filter,
-    unstack_signal,
 )
-from checks import GOLDEN, pair_distance
+from checks import GOLDEN, complex_mode_fit, pair_distance
 from test_cli import BAD_VALUES
 
 # the BAD_VALUES rows that set a ClassifyParams field, as (key, raw value)
@@ -177,9 +176,6 @@ class TestModeProminence:
         traj = Trajectory(np.cos(2 * np.pi * omega * t))
         roots = np.exp(2j * np.pi * np.array([omega, -omega]))
         ranking = mode_prominence(RootSet(roots, np.zeros(2, dtype=bool)), traj)
-        per_root = dict(ranking.per_root)
-        values = list(per_root.values())
-        assert abs(values[0] - values[1]) < 1e-10
         assert len(ranking.entries) == 1
         assert abs(ranking.entries[0].prominence - 1.0) < 1e-9
         assert not ranking.rank_deficient
@@ -190,6 +186,43 @@ class TestModeProminence:
         traj = Trajectory(np.cos(2 * np.pi * omega * np.arange(50)))
         ranking = mode_prominence(RootSet(np.array([z, z]), np.zeros(2, dtype=bool)), traj)
         assert ranking.rank_deficient
+
+    def test_pair_at_minus_one_is_full_rank(self):
+        # (z + 1)^2 unfolds to the conjugate pair -1 + 0j, -1 - 0j: one mode
+        roots = palindromic_roots(np.array([1.0, 2.0, 1.0]))
+        assert sorted(np.signbit(roots.roots.imag)) == [False, True]
+        traj = Trajectory(2.0 + 0.5 * np.cos(np.pi * np.arange(60)))
+        ranking = mode_prominence(roots, traj)
+        assert not ranking.rank_deficient
+        assert [e.frequency for e in ranking.entries] == [0.5]
+        assert abs(ranking.entries[0].prominence - 0.5) < 1e-12
+
+    # a circle at K = 50 and the period-3 chain at K = 300 on the k = 0.7 line
+    @pytest.mark.parametrize("y", [10 * (0.6 / 99), 60 * (0.6 / 99)])
+    def test_matches_complex_reference(self, y):
+        source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.05, y))
+        result = adaptive_solve(source, ClassifyParams())
+        roots = unit_circle_filter(palindromic_roots(result.solution.coefficients)).roots
+        traj = source.take(result.n_samples)
+        ranking = mode_prominence(RootSet(roots, np.zeros(len(roots), dtype=bool)), traj)
+        # one complex column per root, prominences summed per frequency
+        add_constant = np.min(np.abs(roots - 1.0)) > 1e-9
+        columns = np.concatenate([[1.0], roots]) if add_constant else roots
+        v, rank = complex_mode_fit(columns, traj.samples)
+        summed = {}
+        for z, p in zip(roots, np.linalg.norm(v, axis=1)[int(add_constant):]):
+            key = round(canonical_frequency(z) / 1e-9)
+            summed[key] = summed.get(key, 0.0) + p
+        expected = sorted(summed, key=lambda key: -summed[key])
+        top = summed[expected[0]]
+        keys = [round(e.frequency / 1e-9) for e in ranking.entries]
+        assert sorted(keys) == sorted(expected)
+        # modes at roundoff level (below 1e-9 of the top) may swap places
+        significant = [key for key in expected if summed[key] > 1e-9 * top]
+        assert keys[:len(significant)] == significant
+        for key, entry in zip(keys, ranking.entries):
+            assert abs(entry.prominence - summed[key]) <= 1e-9 * top
+        assert ranking.rank_deficient == (rank < columns.shape[0])
 
 
 class TestRationalDetect:
@@ -275,13 +308,16 @@ class TestStacking:
 
     @given(st.integers(1, 5), st.integers(6, 40))
     @settings(max_examples=40)
-    def test_unstack_inverts_on_prefix(self, period, n):
+    def test_stacked_layout(self, period, n):
+        # row r, block j of the stacked signal holds sample r * period + j
         rng = np.random.default_rng(n)
         traj = Trajectory(rng.standard_normal((n, 2)))
-        stacked = stack_signal(traj, period)
-        back = unstack_signal(stacked, period)
-        keep = (n // period) * period
-        assert np.array_equal(back.samples, traj.samples[:keep])
+        stacked = stack_signal(traj, period).samples
+        assert stacked.shape == (n // period, 2 * period)
+        for r in range(n // period):
+            for j in range(period):
+                block = stacked[r, 2 * j:2 * j + 2]
+                assert np.array_equal(block, traj.samples[r * period + j])
 
 
 class TestClassify:
