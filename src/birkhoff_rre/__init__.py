@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     ContractViolation,
     DegenerateFrequency,
-    DegreeDeflation,
     OrbitEscape,
     SolverFailure,
     ValidationFailure,
@@ -65,7 +64,6 @@ from .spectral import (
     canonical_frequency,
     chebyshev_coefficients,
     classify_trajectory,
-    colleague_roots,
     continued_fraction_convergents,
     mode_prominence,
     palindromic_roots,

@@ -29,10 +29,6 @@ class OrbitEscape(RuntimeError):
         self.step = step
 
 
-class DegreeDeflation(ValueError):
-    """Leading Chebyshev coefficient is numerically zero; trim and retry."""
-
-
 class DegenerateFrequency(ValueError):
     """A tuned-filter factor has a vanishing normalization denominator."""
 

@@ -70,7 +70,7 @@ class RreProblem:
     window_count: int         # T
     dimension: int            # D
     epsilon: float
-    hankel: np.ndarray        # U, (T*D, 2K+1)
+    hankel: np.ndarray        # U, (T*D, 2K+1); a read-only view of the signal
     row_weights: np.ndarray   # w_{t,T}, length T
     tap_weights: np.ndarray   # symmetrized w-tilde, length 2K+1
 
@@ -113,8 +113,9 @@ def build_problem(u, half_length, window_count, epsilon=0.0):
         raise ContractViolation(f"rank requirement T*D >= K fails: {t}*{d} < {k}")
     if epsilon < 0:
         raise ContractViolation(f"epsilon must be >= 0, got {epsilon}")
-    # row r*D + i holds u[r:r + 2K+1, i]; the reshaped view aliases u, so copy
-    hankel = sliding_window_view(u, 2 * k + 1, axis=0)[:t].reshape(t * d, 2 * k + 1).copy()
+    # row r*D + i holds u[r:r + 2K+1, i]; for a C-contiguous u the first two
+    # axes merge, so this stays a view of u, read-only so u cannot be written
+    hankel = sliding_window_view(u, 2 * k + 1, axis=0)[:t].reshape(t * d, 2 * k + 1)
     return RreProblem(
         half_length=k,
         window_count=t,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ContractViolation, DegreeDeflation, OrbitEscape
+from .errors import ContractViolation, OrbitEscape
 from .fourier import weighted_mode_fit
 from .maps import DEFAULT_ESCAPE_BOUND, Trajectory
 from .numerics import real_eigenvalues
@@ -77,19 +77,6 @@ def colleague_matrix(b):
     return mat
 
 
-def colleague_roots(b):
-    """Roots of the Chebyshev-basis polynomial sum_k b_k T_k(x)."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] < 2:
-        raise ContractViolation(f"need degree >= 1, got shape {b.shape}")
-    norm = np.linalg.norm(b)
-    if norm == 0.0:
-        raise ContractViolation("polynomial is identically zero")
-    if abs(b[-1]) < 1e-14 * norm:
-        raise DegreeDeflation("leading Chebyshev coefficient is numerically zero")
-    return real_eigenvalues(colleague_matrix(b))
-
-
 def _unfold_root(x):
     """Both solutions z of (z + 1/z)/2 = x, stable branch first.
 
@@ -130,7 +117,7 @@ def palindromic_roots(c):
     if b.shape[0] < 2:
         return RootSet(roots=np.empty(0, dtype=complex),
                        low_confidence=np.empty(0, dtype=bool))
-    xs = colleague_roots(b)
+    xs = real_eigenvalues(colleague_matrix(b))
     roots = np.empty(2 * xs.shape[0], dtype=complex)
     shaky = np.empty(2 * xs.shape[0], dtype=bool)
     for i, x in enumerate(xs):

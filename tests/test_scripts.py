@@ -1,34 +1,84 @@
-"""Each experiment script runs end to end on a small input."""
+"""The shipped experiment configurations load to the intended runs and
+run end to end through the command line."""
 
-import importlib.util
-import sys
+import configparser
 from pathlib import Path
 
 import pytest
 
+from birkhoff_rre.cli import main
+from birkhoff_rre.config import RunConfig, load_config
+from birkhoff_rre.spectral import ClassifyParams
+
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
+LINE_STEP = (0.6 - 0.0) / (100 - 1)
 
-def run_script(monkeypatch, name, args):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [f"{name}.py", *args])
-    return module.main()
+EXPERIMENTS = {
+    "classify_line": RunConfig(
+        k=0.7,
+        params=ClassifyParams(gamma=3.0, delta_adapt=1e-10, k_max=600),
+        seeds=[(0.05, 0.0 + i * LINE_STEP) for i in range(100)],
+        table="line_classification.csv",
+        circles="line_circles",
+        workers=1,
+    ),
+    "convergence_study": RunConfig(
+        k=0.7,
+        params=ClassifyParams(gamma=2.0),
+        k_values=[25, 50, 100, 200, 400, 700],
+        seeds=[(0.1, 0.0), (0.05, 0.3), (0.5, 0.05)],
+        table="convergence.csv",
+    ),
+}
+
+# name: (command, overrides that shrink the run, table header)
+SMALL_RUNS = {
+    "classify_line": ("classify", {"seeds": {"count": "2"}, "algorithm": {"k_max": "100"}},
+                      "seed_x,seed_y,class,period,rotation,R,R_G,R_p,K,N,flags"),
+    "convergence_study": ("converge", {"seeds": {"seeds": "0.1 0.0"},
+                                       "algorithm": {"k_values": "25 50"}},
+                          "seed_x,seed_y,K,N,R_rre,R_wba"),
+}
 
 
-@pytest.mark.parametrize("name, args, header", [
-    ("classify_line", ["--count", "2", "--k-max", "100"],
-     "seed_x,seed_y,class,period,rotation,R,R_G,R_p,K,N,flags"),
-    ("convergence_study", ["--k-values", "25", "50", "--seeds", "0.1 0.0"],
-     "seed_x,seed_y,K,N,R_rre,R_wba"),
-])
-def test_script_writes_table(tmp_path, monkeypatch, capsys, name, args, header):
-    table = tmp_path / f"{name}.csv"
-    args = [*args, "--table", str(table)]
-    if name == "classify_line":
-        args += ["--circles", str(tmp_path / "circles")]
-    assert run_script(monkeypatch, name, args) == 0
-    lines = table.read_text().splitlines()
+def modified_copy(name, directory, overrides):
+    """Write the shipped configuration ``name`` into ``directory`` with
+    some values replaced; return its path."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read(SCRIPTS / f"{name}.ini")
+    for section, values in overrides.items():
+        for key, value in values.items():
+            parser.set(section, key, value)
+    path = directory / f"{name}.ini"
+    with open(path, "w") as handle:
+        parser.write(handle)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_config_loads_to_experiment(name):
+    assert load_config(str(SCRIPTS / f"{name}.ini")) == EXPERIMENTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_small_copy_writes_table(tmp_path, monkeypatch, name):
+    command, overrides, header = SMALL_RUNS[name]
+    path = modified_copy(name, tmp_path, overrides)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, path]) == 0
+    lines = (tmp_path / EXPERIMENTS[name].table).read_text().splitlines()
     assert lines[1] == header
     assert len(lines) > 2
+    if EXPERIMENTS[name].circles:
+        assert any((tmp_path / EXPERIMENTS[name].circles).iterdir())
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_bad_value_exits_two(tmp_path, monkeypatch, capsys, name):
+    command, _, _ = SMALL_RUNS[name]
+    path = modified_copy(name, tmp_path, {"algorithm": {"gamma": "0.5"}})
+    monkeypatch.chdir(tmp_path)
+    assert main([command, path]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / EXPERIMENTS[name].table).exists()
