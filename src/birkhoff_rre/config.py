@@ -8,6 +8,7 @@ main field hazard for batch runs.  The numerical keys are the fields of
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ContractViolation
@@ -48,6 +49,12 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        # checked before any seed runs, so a long run never dies at the write
+        if os.path.isdir(self.table) or not os.path.isdir(os.path.dirname(self.table) or "."):
+            raise ConfigError(f"cannot write table {self.table!r}: it is a directory, "
+                              "or its directory does not exist")
+        if self.circles and os.path.isfile(self.circles):
+            raise ConfigError(f"circles path {self.circles!r} is a file, not a directory")
         return self
 
 
@@ -80,7 +87,10 @@ def _parse_seed_list(raw):
         parts = chunk.replace(",", " ").split()
         if len(parts) != 2:
             raise ConfigError(f"seed entry {chunk!r} is not an x y pair")
-        seeds.append((float(parts[0]), float(parts[1])))
+        try:
+            seeds.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ConfigError(f"seed entry {chunk!r} is not numeric") from exc
     if not seeds:
         raise ConfigError("empty seed list")
     return seeds
@@ -120,8 +130,11 @@ def _parse_k_values(raw):
 
 def load_config(path):
     """Parse and validate a run configuration file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     known_sections = {"map", "algorithm", "seeds", "output"}

@@ -19,7 +19,6 @@ from .numerics import least_squares_solve
 
 DEFAULT_GAMMA_MAX = 0.5
 DEFAULT_VALIDATION_GRID = 128
-CONDITION_WARNING = 1e8
 
 
 @dataclass
@@ -31,8 +30,7 @@ class FourierCircle:
     rows are exactly conjugate symmetric, V_{-l} = conj(V_l), so the
     model is real.  ``condition_estimate`` is the
     Gershgorin upper bound on the weighted basis' condition number (see
-    condition_bound), inf when that bound fails; ``ill_conditioned``
-    marks a bound above CONDITION_WARNING.
+    condition_bound), inf when that bound fails.
     """
 
     period: int
@@ -41,7 +39,6 @@ class FourierCircle:
     coefficients: np.ndarray
     dimension: int          # observable dimension D of one component
     condition_estimate: float = 0.0
-    ill_conditioned: bool = False
 
 
 def _gamma_sums(window, omega, terms):
@@ -96,7 +93,7 @@ def condition_bound(window, omega, num_modes):
 
 
 def weighted_mode_fit(nodes, samples):
-    """(V, rank_deficient) minimizing ||W^{1/2} (Re(Phi V) - A)||, Phi_{mj} = nodes_j^m.
+    """V minimizing ||W^{1/2} (Re(Phi V) - A)||, Phi_{mj} = nodes_j^m.
 
     A is ``samples`` (N rows), W the bump weights of length N, and V has
     one row per node.  The fit runs in real arithmetic: for a node
@@ -105,9 +102,7 @@ def weighted_mode_fit(nodes, samples):
     r^m cos(m theta), and a node off the real axis also r^m sin(m theta).
     A node on the real axis gets a real V_j.  For a real signal, one
     node z stands for the conjugate pair z, conj(z): their complex
-    coefficients are V_j / 2 and conj(V_j) / 2.  ``rank_deficient`` is
-    set when the solve's effective rank falls short of its column count,
-    e.g. for a repeated node.
+    coefficients are V_j / 2 and conj(V_j) / 2.
     """
     n = samples.shape[0]
     m = np.arange(n)[:, None]
@@ -116,10 +111,10 @@ def weighted_mode_fit(nodes, samples):
     sqrt_w = np.sqrt(bump_weights(n))[:, None]
     scale = sqrt_w * np.abs(nodes) ** m
     basis = np.hstack([scale * np.cos(phase), scale[:, off_axis] * np.sin(phase[:, off_axis])])
-    x, rank = least_squares_solve(basis, sqrt_w * samples, strict_rank=True)
+    x, _ = least_squares_solve(basis, sqrt_w * samples, strict_rank=True)
     v = x[:nodes.shape[0]].astype(complex)
     v[off_axis] -= 1j * x[nodes.shape[0]:]
-    return v, rank < basis.shape[1]
+    return v
 
 
 def project_circle(trajectory, omega, num_modes, period=1):
@@ -142,17 +137,15 @@ def project_circle(trajectory, omega, num_modes, period=1):
         raise ContractViolation(
             f"dimension {a.shape[1]} is not a multiple of period {period}"
         )
-    v, _ = weighted_mode_fit(np.exp(2j * math.pi * omega * np.arange(l + 1)), a)
+    v = weighted_mode_fit(np.exp(2j * math.pi * omega * np.arange(l + 1)), a)
     coeffs = np.concatenate([v[:0:-1].conj() / 2, v[:1], v[1:] / 2])
-    cond = condition_bound(n - 1, omega, l)
     return FourierCircle(
         period=period,
         rotation=float(omega),
         num_modes=l,
         coefficients=coeffs,
         dimension=a.shape[1] // period,
-        condition_estimate=cond,
-        ill_conditioned=bool(cond > CONDITION_WARNING),
+        condition_estimate=condition_bound(n - 1, omega, l),
     )
 
 

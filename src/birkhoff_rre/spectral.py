@@ -159,7 +159,6 @@ class ModeRanking:
     """Modes sorted by descending prominence in the signal."""
 
     entries: list
-    rank_deficient: bool = False
 
 
 _CONSTANT_ROOT_TOL = 1e-9
@@ -178,8 +177,6 @@ def mode_prominence(root_set, trajectory):
     already sits there.  Nodes of equal frequency are merged into one
     entry with their prominences summed, so one real oscillation is one
     mode, low-confidence if any of its roots is.
-    ``rank_deficient`` is set when the solve's effective rank
-    falls short of the column count, e.g. for a repeated root.
     """
     roots = root_set.roots
     if roots.shape[0] == 0:
@@ -188,8 +185,7 @@ def mode_prominence(root_set, trajectory):
     add_constant = bool(np.min(np.abs(roots - 1.0)) > _CONSTANT_ROOT_TOL)
     nodes = roots[is_node]
     columns = np.concatenate([[1.0 + 0.0j], nodes]) if add_constant else nodes
-    v, rank_deficient = weighted_mode_fit(columns, trajectory.samples)
-    row_norms = np.linalg.norm(v, axis=1)
+    row_norms = np.linalg.norm(weighted_mode_fit(columns, trajectory.samples), axis=1)
     prominences = np.zeros(roots.shape[0])
     prominences[is_node] = row_norms[1:] if add_constant else row_norms
     groups = {}
@@ -206,7 +202,7 @@ def mode_prominence(root_set, trajectory):
             groups[key] = ModeEntry(root=z if node else z.conjugate(), frequency=freq,
                                     prominence=p, low_confidence=shaky)
     entries = sorted(groups.values(), key=lambda e: -e.prominence)
-    return ModeRanking(entries=entries, rank_deficient=rank_deficient)
+    return ModeRanking(entries=entries)
 
 
 def rational_detect(omega, p_max, tol):
@@ -336,10 +332,10 @@ class Classification:
 
     tag is "chaotic", "integrable", or "indeterminate" (the residual
     converged but the rotation cannot be extracted -- no unit-circle
-    roots, no rotation candidate, or a stacked signal too short to
-    solve -- which is surfaced rather than guessed).  For integrable
-    results, ``rotation`` lies in [0, 1/2] and ``fit_trajectory`` is the
-    (stacked, for islands) signal the Fourier stages should consume.
+    roots, or a stacked signal too short to solve -- which is surfaced
+    rather than guessed).  For integrable results, ``rotation`` lies in
+    [0, 1/2] and ``fit_trajectory`` is the (stacked, for islands) signal
+    the Fourier stages should consume.
     """
 
     tag: str
@@ -375,14 +371,6 @@ def island_period(entries, params):
     return period
 
 
-def _extract_rotation(ranking, zero_tol=_CONSTANT_ROOT_TOL):
-    """Top-ranked non-constant frequency, or None."""
-    for entry in ranking.entries:
-        if entry.frequency > zero_tol:
-            return entry.frequency
-    return None
-
-
 def classify_trajectory(dynamical_map, observable, x0, params=None):
     """Full pipeline: adaptive solve, chaos gate, roots, islands, rotation."""
     params = params or ClassifyParams()
@@ -409,7 +397,6 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         "adaptive_converged": result.converged,
         "history": result.history,
     }
-    flags = []
     traj = source.take(result.n_samples)
     if solution.fixed_point:
         return Classification(
@@ -430,8 +417,6 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
             flags=["no_unit_circle_roots"],
         )
     ranking = mode_prominence(roots, traj)
-    if ranking.rank_deficient:
-        flags.append("rank_deficient_modes")
     period = island_period(ranking.entries[:ISLAND_TEST_MODES], params)
     if period > 1:
         # island chain: stack and redo the solve on the wide signal
@@ -440,7 +425,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         if shape is None:
             return Classification(
                 tag="indeterminate", period=period, solution=solution, ranking=ranking,
-                diagnostics=diag, flags=flags + ["stacked_signal_too_short"],
+                diagnostics=diag, flags=["stacked_signal_too_short"],
             )
         solution = solve_from_trajectory(traj, *shape, params.epsilon)
         diag["stacked"] = {
@@ -453,22 +438,23 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
             return Classification(
                 tag="integrable", period=period, rotation=0.0,
                 solution=solution, ranking=ranking, fit_trajectory=traj,
-                diagnostics=diag, flags=flags + ["periodic_orbit"],
+                diagnostics=diag, flags=["periodic_orbit"],
             )
         roots = unit_circle_filter(palindromic_roots(solution.coefficients))
         if len(roots) == 0:
             return Classification(
                 tag="indeterminate", period=period, solution=solution,
                 ranking=ranking, diagnostics=diag,
-                flags=flags + ["no_unit_circle_roots_stacked"],
+                flags=["no_unit_circle_roots_stacked"],
             )
         ranking = mode_prominence(roots, traj)
-    rotation = _extract_rotation(ranking)
-    if rotation is None:
-        return Classification(
-            tag="indeterminate", period=period, solution=solution, ranking=ranking,
-            diagnostics=diag, flags=flags + ["no_rotation_candidate"],
-        )
+    # a non-constant entry always exists: every entry is a unit root, and a
+    # frequency <= _CONSTANT_ROOT_TOL needs a colleague eigenvalue of real
+    # part exactly 1.0 (the doubles beside it give >= 2.4e-9), where the
+    # filter's value is P(1) = sum(c) = 1, not 0.  Were it missing, next()
+    # would raise and the seed become an error row, never integrable.
+    rotation = next(e.frequency for e in ranking.entries if e.frequency > _CONSTANT_ROOT_TOL)
+    flags = []
     if period > 1:
         # one stacking pass only; a rational frequency surviving here is
         # reported, not recursed on

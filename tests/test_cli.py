@@ -10,10 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from birkhoff_rre.cli import _circle_json, figure2_errors, main
-from birkhoff_rre.config import load_config
+from birkhoff_rre import cli
+from birkhoff_rre.cli import _circle_json, classify_seed, figure2_errors, main
+from birkhoff_rre.config import RunConfig, load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
+from birkhoff_rre.maps import DynamicalMap
 from birkhoff_rre.spectral import ClassifyParams
 
 
@@ -67,6 +69,57 @@ BAD_VALUES = [
 ]
 
 
+# (id, text of BASE, its replacement): each makes the file unreadable as a
+# run configuration, or names an output location that cannot be written.
+# "{tmp}" stands for the test's directory, which holds a plain file "taken".
+MALFORMED = [
+    ("key before any section", "\n[map]", "\nk = 0.7\n[map]"),
+    ("duplicate key", "k = 0.7", "k = 0.7\nk = 0.8"),
+    ("duplicate section", "[seeds]", "[map]\nname = standard-map\n\n[seeds]"),
+    ("broken first header", "[map]", "[map"),
+    ("broken later header", "[seeds]", "[seeds"),
+    ("percent in value", "k = 0.7", "k = 70%"),
+    ("non-numeric seed", "seeds = 0.0 0.0;", "seeds = 0 abc;"),
+    ("table directory missing", "table = {tmp}/t.csv", "table = {tmp}/nodir/t.csv"),
+    ("table is a directory", "table = {tmp}/t.csv", "table = {tmp}"),
+    ("circles path is a file", "table = {tmp}/t.csv",
+     "table = {tmp}/t.csv\ncircles = {tmp}/taken"),
+]
+
+
+class HalvingMap(DynamicalMap):
+    """(x, y) -> (x/2, y/2): every orbit decays geometrically to the origin,
+    so the converged filter has no root on the unit circle."""
+
+    state_dimension = 2
+
+    def step(self, point):
+        return np.asarray(point, dtype=float) / 2.0
+
+
+# (flag, class, k, observable, seed, ClassifyParams overrides): each case
+# reaches its flag through classify_seed; k = None runs HalvingMap
+FLAG_CASES = [
+    ("fixed_point", "integrable", 0.7, "embedding", (0.0, 0.0), {}),
+    ("escape", "chaotic", 0.7, "embedding", (0.05, 0.3), {"escape_bound": 0.2}),
+    ("periodic_orbit", "integrable", 0.7, "embedding", (0.0, 0.5), {}),
+    ("no_unit_circle_roots", "indeterminate", None, "identity", (0.3, 0.2),
+     {"k_init": 1, "k_max": 1, "delta_k": 1}),
+    ("no_unit_circle_roots_stacked", "indeterminate", 0.5, "identity",
+     (0.05, 32 * (0.6 / 39)), {}),
+    ("stacked_signal_too_short", "indeterminate", 0.7, "embedding",
+     (0.05, 0.042424242424242427), {"eps_rat": 1e-4}),
+    ("stacked_rational:17/47", "integrable", 1.2, "identity", (0.05, 6 * (0.6 / 39)), {}),
+    ("observable_space_validation", "integrable", 0.7, "embedding", (0.05, 0.1), {}),
+    ("fit_failed:NotImplementedError", "integrable", 0.7, "y", (0.05, 0.1), {}),
+]
+
+
+def flag_name(token):
+    """A flag token without its ``:detail`` suffix."""
+    return token.split(":", 1)[0]
+
+
 # keys that are not [algorithm] parameters, each with a value in range, so
 # only the key itself can be rejected: the chaos gate is the adaptive
 # solve's own convergence verdict, and the other four are module constants
@@ -117,6 +170,18 @@ class TestConfig:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("old, new", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_file_exits_two(self, tmp_path, capsys, old, new):
+        (tmp_path / "taken").write_text("")
+        body = BASE.format(table=tmp_path / "t.csv")
+        old, new = (text.replace("{tmp}", str(tmp_path)) for text in (old, new))
+        assert old in body
+        cfg = write_config(tmp_path / "bad.ini", body.replace(old, new, 1))
+        assert main(["classify", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.ini", "taken"]  # nothing written
+
     @pytest.mark.parametrize("key, value", REMOVED_KEYS, ids=[k for k, _ in REMOVED_KEYS])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
         body = BASE.format(table=tmp_path / "t.csv").replace(
@@ -148,6 +213,16 @@ class TestConfig:
         listed = after.split("The numerical keys (", 1)[1].split(")", 1)[0]
         named = parser.options("algorithm") + re.findall(r"`(?:\[map\] )?(\w+)`", listed)
         assert sorted(named) == sorted(f.name for f in fields(ClassifyParams))
+
+    def test_readme_lists_every_flag(self):
+        # the flags README's "Output formats" list names are exactly the
+        # flags FLAG_CASES reaches
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = readme.split("### Output formats", 1)[1].split("drawn from:", 1)[1]
+        listed = listed.split("An `error` row", 1)[0]
+        named = re.findall(r"^- `([^`]+)`", listed, flags=re.MULTILINE)
+        assert sorted(flag_name(flag) for flag in named) == sorted(
+            flag_name(case[0]) for case in FLAG_CASES)
 
     def test_line_seed_grid(self, tmp_path):
         body = BASE.format(table="t.csv").replace(
@@ -183,6 +258,19 @@ class TestConfig:
         targets += [(probe.rre.TrajectorySource, "take"), (probe.maps.StandardMap, "step")]
         for owner, attr in targets:
             assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+class TestClassifySeed:
+    @pytest.mark.parametrize("flag, tag, k, observable, seed, overrides", FLAG_CASES,
+                             ids=[flag_name(case[0]) for case in FLAG_CASES])
+    def test_flag_reached(self, monkeypatch, flag, tag, k, observable, seed, overrides):
+        if k is None:
+            monkeypatch.setattr(cli, "build_map", lambda cfg: HalvingMap())
+        cfg = RunConfig(k=0.7 if k is None else k, observable=observable,
+                        params=ClassifyParams(**overrides), seeds=[seed])
+        row, _ = classify_seed(cfg, seed)
+        assert flag in row["flags"].split("|")
+        assert row["class"] == tag
 
 
 class TestClassifyCommand:
@@ -319,6 +407,7 @@ class TestCircleJson:
         args = ((0.05, 0.25), cls, circle, 3e-9, ["observable_space_validation"])
         payload = _circle_json(*args)
         assert len(payload["coefficients"]) == period
+        payload["coefficients"] = payload["coefficients"].tolist()  # as run_classify writes it
         expected = circle_json_reference(*args)
         assert (json.dumps(payload, indent=1, sort_keys=True)
                 == json.dumps(expected, indent=1, sort_keys=True))
