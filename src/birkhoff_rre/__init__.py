@@ -10,12 +10,7 @@ circle parameterizations.
 
 __version__ = "0.1.0"
 
-from .birkhoff import (
-    bump_weights,
-    unweighted_average,
-    wba_doubling_residual,
-    weighted_average,
-)
+from .birkhoff import bump_weights, weighted_average
 from .errors import (
     ConfigError,
     ContractViolation,
@@ -64,7 +59,6 @@ from .spectral import (
     canonical_frequency,
     chebyshev_coefficients,
     classify_trajectory,
-    continued_fraction_convergents,
     mode_prominence,
     palindromic_roots,
     rational_detect,

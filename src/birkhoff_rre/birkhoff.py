@@ -1,4 +1,4 @@
-"""Smooth-bump weights and weighted/unweighted Birkhoff averages.
+"""Smooth-bump weights, weighted Birkhoff averages and the doubling residual.
 
 The window is the classic exponential bump w(s) = exp(-1/(s(1-s))) on
 (0, 1), sampled strictly inside the interval so the essential
@@ -50,29 +50,13 @@ def weighted_average(trajectory, weights):
     return weights @ a
 
 
-def unweighted_average(trajectory):
-    """Arithmetic mean of the samples."""
-    return trajectory.samples.mean(axis=0)
+def wba_doubling_residual_at(samples, half):
+    """Distance between weighted averages over two halves of an orbit.
 
-
-def wba_doubling_residual(trajectory):
-    """Distance between weighted averages over the two orbit halves.
-
-    The trajectory length 2T must be even; returns
-    ||sum_t w_{t,T} a_t - sum_t w_{t,T} a_{t+T}||.  Converges to zero
+    Returns ||sum_t w_{t,T} a_t - sum_t w_{t,T} a_{t+T}|| with T =
+    ``half``, from the first 2T rows of ``samples``.  Converges to zero
     super-polynomially on invariant circles and islands, and stalls on
     chaos, so it serves as the budget-matched comparison baseline.
-    """
-    n = trajectory.length
-    if n < 2 or n % 2 != 0:
-        raise ContractViolation(f"need an even trajectory length >= 2, got {n}")
-    return wba_doubling_residual_at(trajectory.samples, n // 2)
-
-
-def wba_doubling_residual_at(samples, half):
-    """Doubling residual using the first 2*``half`` rows of ``samples``.
-
-    Convenience for residual-vs-budget sweeps over one long orbit.
     """
     if half < 1 or samples.shape[0] < 2 * half:
         raise ContractViolation("samples too short for the requested half-length")

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .birkhoff import bump_weights, wba_doubling_residual_at, weighted_average
 from .config import load_config
-from .errors import ConfigError, OrbitEscape
+from .errors import ConfigError, OrbitEscape, ValidationFailure
 from .fourier import fit_circle, make_observable_advance, validation_residual
 from .maps import (
     CoordinateObservable,
@@ -89,14 +89,16 @@ def classify_seed(cfg, seed):
                 if substituted:
                     flags.append("observable_space_validation")
                 circle_payload = _circle_json(seed, cls, circle, r_p, flags)
-            except (ValueError, OrbitEscape, NotImplementedError) as exc:
+            except (ValueError, OrbitEscape, NotImplementedError, ValidationFailure) as exc:
                 flags.append(f"fit_failed:{type(exc).__name__}")
         row["flags"] = "|".join(flags)
         return row, circle_payload
     except Exception as exc:  # per-seed failures are recorded, not raised
-        row["class"] = "error"
-        row["flags"] = f"{type(exc).__name__}:{exc}"
-        return row, None
+        # an error row keeps only its seed: nothing computed before the failure stands
+        error_row = dict.fromkeys(CSV_COLUMNS, "")
+        error_row.update({"seed_x": row["seed_x"], "seed_y": row["seed_y"], "class": "error",
+                          "flags": f"{type(exc).__name__}:{exc}"})
+        return error_row, None
 
 
 def _circle_json(seed, cls, circle, r_p, flags):
@@ -138,10 +140,13 @@ def run_classify(cfg, out=None):
     """Classify every configured seed and emit the result table."""
     out = out if out is not None else sys.stdout
     jobs = [(cfg, seed) for seed in cfg.seeds]
-    if cfg.workers == 1:
+    # a fork-started pool forks all its workers at the first submit, so never
+    # ask for more than there are seeds; the output does not depend on it
+    workers = min(cfg.workers, len(jobs))
+    if workers == 1:
         results = [_classify_one(job) for job in jobs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_one, jobs))
     rows = [row for row, _ in results]
     _write_table(cfg.table, rows)
@@ -161,24 +166,20 @@ def run_classify(cfg, out=None):
 
 
 def converge_seed(cfg, seed, k_values):
-    """Budget-matched residual table for one seed.
+    """Budget-matched residual rows (K, N, R_rre, R_wba) for one seed.
 
     For each K, the filter solve is the adaptive ladder's step at K
     (rre.solve_at), on N samples; the doubling residual of the weighted
     average is evaluated on the same orbit at half length floor(N/2),
-    so both methods see an equal sample budget.
+    so both methods see an equal sample budget.  Yields the rows in
+    order of K, and raises OrbitEscape once the orbit escapes.
     """
     source = TrajectorySource(build_map(cfg), build_observable(cfg), seed,
                               escape_bound=cfg.params.escape_bound)
-    out = []
     for k in k_values:
-        try:
-            traj, solution = solve_at(source, k, cfg.params)
-        except OrbitEscape:
-            break
+        traj, solution = solve_at(source, k, cfg.params)
         n = traj.length
-        out.append((k, n, solution.residual, wba_doubling_residual_at(traj.samples, n // 2)))
-    return out
+        yield k, n, solution.residual, wba_doubling_residual_at(traj.samples, n // 2)
 
 
 def run_converge(cfg, out=None):
@@ -189,11 +190,14 @@ def run_converge(cfg, out=None):
         handle.write(f"# birkhoff-rre {__version__}\n")
         handle.write("seed_x,seed_y,K,N,R_rre,R_wba\n")
         for seed in cfg.seeds:
-            for k, n, r_rre, r_wba in converge_seed(cfg, seed, k_values):
-                handle.write(
-                    f"{_fmt(float(seed[0]))},{_fmt(float(seed[1]))},{k},{n},"
-                    f"{_fmt(r_rre)},{_fmt(r_wba)}\n"
-                )
+            try:
+                for k, n, r_rre, r_wba in converge_seed(cfg, seed, k_values):
+                    handle.write(
+                        f"{_fmt(float(seed[0]))},{_fmt(float(seed[1]))},{k},{n},"
+                        f"{_fmt(r_rre)},{_fmt(r_wba)}\n"
+                    )
+            except OrbitEscape as exc:
+                print(f"seed {seed}: escaped at step {exc.step}", file=out)
     print(f"convergence sweep -> {cfg.table}", file=out)
     return 0
 
@@ -246,8 +250,8 @@ def figure2_errors(length=11):
         "tuned": tuned_filter(golden, length),
     }
     return {
-        name: abs(float(f.apply(signal)[0]) - FIGURE2_REFERENCE_MEAN)
-        for name, f in filters.items()
+        name: abs(float(weighted_average(signal, c)[0]) - FIGURE2_REFERENCE_MEAN)
+        for name, c in filters.items()
     }
 
 

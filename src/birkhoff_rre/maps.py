@@ -43,9 +43,6 @@ class Trajectory:
     def __len__(self):
         return self.samples.shape[0]
 
-    def reversed(self):
-        return Trajectory(self.samples[::-1])
-
 
 class DynamicalMap:
     """Interface: a deterministic discrete-time map on R^n."""
@@ -77,13 +74,6 @@ def standard_map_step(x, y, k):
     y_next = y - k / TWO_PI * math.sin(TWO_PI * x)
     x_next = (x + y_next) % 1.0
     return x_next, y_next
-
-
-def standard_map_inverse_step(x, y, k):
-    """Inverse of ``standard_map_step`` (used for time-reversal checks)."""
-    x_prev = (x - y) % 1.0
-    y_prev = y + k / TWO_PI * math.sin(TWO_PI * x_prev)
-    return x_prev, y_prev
 
 
 class StandardMap(DynamicalMap):

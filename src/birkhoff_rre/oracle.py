@@ -1,47 +1,26 @@
-"""Independent reference constructions used by the test suite.
+"""The three averaging filters that ``birkhoff-rre figure2`` compares.
 
-These filters are built directly from their defining polynomial
-products (expanded by convolution), never through the least-squares
-machinery, so they can serve as oracles for it.  They are not forced
-palindromic: the constructions are palindromic analytically and the
-tests verify that instead of imposing it.
+Each filter is built directly from its definition (the tuned filter from
+its defining polynomial product, expanded by convolution), never
+through the least-squares machinery, and is returned as its coefficient
+array, normalized to sum to one.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .birkhoff import bump_weights, weighted_average, window_exponent
+from .birkhoff import window_exponent
 from .errors import ContractViolation, DegenerateFrequency
-from .maps import Trajectory
-from .spectral import continued_fraction_convergents
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass
-class ReferenceFilter:
-    """Averaging filter with a construction tag for provenance."""
-
-    coefficients: np.ndarray
-    tag: str  # tuned | reference-polynomial | all-ones | wba
-
-    def __len__(self):
-        return self.coefficients.shape[0]
-
-    def apply(self, trajectory):
-        return weighted_average(trajectory, self.coefficients)
-
-    def polynomial_value(self, z):
-        return np.polyval(self.coefficients[::-1], z)
 
 
 def all_ones_filter(n):
     """The plain-average filter of length n."""
     if n < 1:
         raise ContractViolation(f"need n >= 1, got {n}")
-    return ReferenceFilter(np.full(n, 1.0 / n), tag="all-ones")
+    return np.full(n, 1.0 / n)
 
 
 def wba_window_filter(n):
@@ -58,7 +37,7 @@ def wba_window_filter(n):
     w = np.zeros(n)
     interior = (s > 0) & (s < 1)
     w[interior] = np.exp(window_exponent(s[interior]))
-    return ReferenceFilter(w / w.sum(), tag="wba")
+    return w / w.sum()
 
 
 def _conjugate_pair_factor(lam):
@@ -86,70 +65,4 @@ def tuned_filter(omega, length):
     for k in range(1, pairs + 1):
         lam = complex(math.cos(TWO_PI * omega * k), math.sin(TWO_PI * omega * k))
         coeffs = np.convolve(coeffs, _conjugate_pair_factor(lam))
-    coeffs = coeffs / coeffs.sum()
-    return ReferenceFilter(coeffs, tag="tuned")
-
-
-def reference_polynomial(omega, period, alpha, convergent_index):
-    """Convergent-based reference filter for frequency omega, period p.
-
-    Exact roots at the conjugate pairs lambda_{+-j} for
-    j <= floor(alpha p L_n), root-of-unity surrogates mu_{+-j} beyond,
-    up to j = floor(p L_n / 2); L_n is the ``convergent_index``-th
-    continued-fraction denominator of omega.  Normalized to value one
-    at z = 1.
-    """
-    if not 0.0 < alpha < 0.25:
-        raise ContractViolation(f"need alpha in (0, 1/4), got {alpha}")
-    if period < 1:
-        raise ContractViolation(f"need period >= 1, got {period}")
-    convergents = continued_fraction_convergents(omega, convergent_index)
-    if len(convergents) < convergent_index:
-        raise ContractViolation(
-            f"omega has only {len(convergents)} convergents, need {convergent_index}"
-        )
-    num, den = convergents[convergent_index - 1]
-    exact_pairs = int(math.floor(alpha * period * den))
-    total_pairs = int(math.floor(period * den / 2))
-
-    def lam(j):
-        # signal frequency ladder (j omega + residue class) / p
-        quotient, residue = divmod(j, period)
-        angle = TWO_PI * (quotient * omega + residue) / period
-        return complex(math.cos(angle), math.sin(angle))
-
-    def mu(j):
-        quotient, residue = divmod(j, period)
-        angle = TWO_PI * (quotient * num / den + residue) / period
-        return complex(math.cos(angle), math.sin(angle))
-
-    coeffs = np.array([1.0])
-    for j in range(1, exact_pairs + 1):
-        coeffs = np.convolve(coeffs, _conjugate_pair_factor(lam(j)))
-    for j in range(exact_pairs + 1, total_pairs + 1):
-        coeffs = np.convolve(coeffs, _conjugate_pair_factor(mu(j)))
-    coeffs = coeffs / coeffs.sum()
-    return ReferenceFilter(coeffs, tag="reference-polynomial")
-
-
-def brute_force_fourier_coefficient(samples, omega, mode, n=None):
-    """Weighted Birkhoff estimate of one Fourier coefficient.
-
-    Averages a_t e^{-2 pi i mode omega t} over ``n`` samples (default:
-    all supplied).  This is the independent oracle for circle
-    coefficients; it never touches the projection machinery.
-    """
-    if isinstance(samples, Trajectory):
-        samples = samples.samples
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    if n is None:
-        n = samples.shape[0]
-    if n < 1000:
-        raise ContractViolation(f"need at least 1000 samples, got {n}")
-    if samples.shape[0] < n:
-        raise ContractViolation(f"only {samples.shape[0]} samples supplied, need {n}")
-    w = bump_weights(n)
-    phases = np.exp(-2j * math.pi * mode * omega * np.arange(n))
-    return (w * phases) @ samples[:n]
+    return coeffs / coeffs.sum()

@@ -45,7 +45,6 @@ from .maps import DEFAULT_ESCAPE_BOUND, Trajectory, _advance_orbit, sample_traje
 from .numerics import least_squares_solve
 
 SQRT2 = math.sqrt(2.0)
-ADAPT_GATES = ("scale_free", "residual")  # gate on R_G or on R
 
 
 def difference_signal(trajectory):
@@ -328,21 +327,19 @@ class AdaptiveResult:
 
 
 def adaptive_solve(source, params):
-    """Grow the filter length until the gate residual crosses ``delta_adapt``.
+    """Grow the filter length until the scale-free residual R_G crosses ``delta_adapt``.
 
     Runs ``solve_at`` for K = k_init, k_init + delta_k, ... while K <=
     k_max, reusing previously sampled orbit points (each step extends,
     never restarts, the trajectory).  ``params`` is a ClassifyParams,
-    whose construction has range-checked every value used here.  The
-    gate is the scale-free residual R_G, or R itself when
-    ``adapt_gate`` is "residual".  Returns the last solution with the
-    per-step history.
+    whose construction has range-checked every value used here.  Returns
+    the last solution with the per-step history.
     """
     history = []
     for k in range(params.k_init, params.k_max + 1, params.delta_k):
         traj, solution = solve_at(source, k, params)
-        r, r_g = solution.residual, solution.scale_free_residual
-        history.append((k, traj.length, r, r_g))
-        if (r if params.adapt_gate == "residual" else r_g) <= params.delta_adapt:
+        r_g = solution.scale_free_residual
+        history.append((k, traj.length, solution.residual, r_g))
+        if r_g <= params.delta_adapt:
             return AdaptiveResult(solution=solution, converged=True, history=history)
     return AdaptiveResult(solution=solution, converged=False, history=history)

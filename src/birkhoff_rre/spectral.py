@@ -18,13 +18,7 @@ from .errors import ContractViolation, OrbitEscape
 from .fourier import weighted_mode_fit
 from .maps import DEFAULT_ESCAPE_BOUND, Trajectory
 from .numerics import real_eigenvalues
-from .rre import (
-    ADAPT_GATES,
-    TrajectorySource,
-    adaptive_solve,
-    solve_from_trajectory,
-    stacked_shape,
-)
+from .rre import TrajectorySource, adaptive_solve, solve_from_trajectory, stacked_shape
 
 PALINDROME_TOL = 1e-10
 UNIT_CIRCLE_TOL = 1e-7  # about sqrt(machine epsilon)
@@ -148,8 +142,7 @@ def canonical_frequency(z):
 
 @dataclass
 class ModeEntry:
-    root: complex        # representative with nonnegative imaginary part
-    frequency: float     # arg(root)/2pi in [0, 1/2]
+    frequency: float     # arg(root)/2pi in [0, 1/2], shared by a conjugate pair
     prominence: float    # summed over the conjugate pair
     low_confidence: bool  # either root of the pair tagged near z = +-1
 
@@ -189,18 +182,16 @@ def mode_prominence(root_set, trajectory):
     prominences = np.zeros(roots.shape[0])
     prominences[is_node] = row_norms[1:] if add_constant else row_norms
     groups = {}
-    for z, node, p, shaky in zip(roots.tolist(), is_node.tolist(), prominences.tolist(),
-                                 root_set.low_confidence.tolist()):
+    for z, p, shaky in zip(roots.tolist(), prominences.tolist(),
+                           root_set.low_confidence.tolist()):
         freq = canonical_frequency(z)
         key = round(freq / _CONSTANT_ROOT_TOL)
         if key in groups:
             old = groups[key]
-            groups[key] = ModeEntry(root=old.root, frequency=old.frequency,
-                                    prominence=old.prominence + p,
+            groups[key] = ModeEntry(frequency=old.frequency, prominence=old.prominence + p,
                                     low_confidence=old.low_confidence or shaky)
         else:
-            groups[key] = ModeEntry(root=z if node else z.conjugate(), frequency=freq,
-                                    prominence=p, low_confidence=shaky)
+            groups[key] = ModeEntry(frequency=freq, prominence=p, low_confidence=shaky)
     entries = sorted(groups.values(), key=lambda e: -e.prominence)
     return ModeRanking(entries=entries)
 
@@ -233,36 +224,6 @@ def rational_detect(omega, p_max, tol):
             hi_n, hi_d = med_n, med_d
         else:
             return (med_n, med_d)
-
-
-def continued_fraction_convergents(omega, count):
-    """First ``count`` convergents N_j / L_j of omega in (0, 1).
-
-    Each convergent satisfies |omega - N/L| < 1/L^2.  A rational omega
-    terminates the expansion early, returning a shorter list.
-    """
-    if not 0.0 < omega < 1.0:
-        raise ContractViolation(f"need omega in (0, 1), got {omega}")
-    if count < 1:
-        raise ContractViolation(f"need count >= 1, got {count}")
-    convergents = []
-    h_prev, h_curr = 1, 0   # numerators
-    k_prev, k_curr = 0, 1   # denominators
-    x = omega
-    for _ in range(count):
-        recip = 1.0 / x
-        if recip > 1e15:
-            break
-        a = int(math.floor(recip))
-        h_prev, h_curr = h_curr, a * h_curr + h_prev
-        k_prev, k_curr = k_curr, a * k_curr + k_prev
-        if abs(omega - h_curr / k_curr) >= 1.0 / k_curr ** 2:
-            break  # floating-point exhausted; drop the degraded tail
-        convergents.append((h_curr, k_curr))
-        x = recip - a
-        if x <= 1e-15:
-            break  # rational within double precision; expansion terminates
-    return convergents
 
 
 def stack_signal(trajectory, period):
@@ -299,7 +260,6 @@ class ClassifyParams:
     epsilon: float = 0.0
     gamma: float = 3.0
     delta_adapt: float = 1e-10
-    adapt_gate: str = "scale_free"  # or "residual"
     k_init: int = 50
     k_max: int = 600
     delta_k: int = 50
@@ -322,8 +282,6 @@ class ClassifyParams:
                     f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.k_init > self.k_max:
             raise ContractViolation(f"k_init {self.k_init} exceeds k_max {self.k_max}")
-        if self.adapt_gate not in ADAPT_GATES:
-            raise ContractViolation(f"unknown adapt_gate {self.adapt_gate!r}")
 
 
 @dataclass

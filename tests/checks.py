@@ -1,4 +1,10 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers and independent reference constructions for the test suite.
+
+The references are built from their definitions (polynomial products
+expanded by convolution, explicit sums over the orbit), never through
+the package's least-squares machinery, so they can serve as oracles
+for it.
+"""
 
 import math
 
@@ -6,9 +12,13 @@ import numpy as np
 import scipy.optimize
 
 from birkhoff_rre.birkhoff import bump_weights
+from birkhoff_rre.errors import ContractViolation
+from birkhoff_rre.maps import Trajectory
 from birkhoff_rre.numerics import complex_least_squares_solve
+from birkhoff_rre.oracle import _conjugate_pair_factor
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+TWO_PI = 2.0 * math.pi
 
 
 def pair_distance(a, b):
@@ -57,3 +67,104 @@ def complex_mode_fit(nodes, samples):
     powers = nodes[None, :] ** np.arange(n)[:, None]
     sqrt_w = np.sqrt(bump_weights(n))[:, None]
     return complex_least_squares_solve(sqrt_w * powers, sqrt_w * samples)
+
+
+def standard_map_inverse_step(x, y, k):
+    """Inverse of ``maps.standard_map_step``."""
+    x_prev = (x - y) % 1.0
+    y_prev = y + k / TWO_PI * math.sin(TWO_PI * x_prev)
+    return x_prev, y_prev
+
+
+def continued_fraction_convergents(omega, count):
+    """First ``count`` convergents N_j / L_j of omega in (0, 1).
+
+    Each convergent satisfies |omega - N/L| < 1/L^2.  A rational omega
+    terminates the expansion early, returning a shorter list.
+    """
+    if not 0.0 < omega < 1.0:
+        raise ContractViolation(f"need omega in (0, 1), got {omega}")
+    if count < 1:
+        raise ContractViolation(f"need count >= 1, got {count}")
+    convergents = []
+    h_prev, h_curr = 1, 0   # numerators
+    k_prev, k_curr = 0, 1   # denominators
+    x = omega
+    for _ in range(count):
+        recip = 1.0 / x
+        if recip > 1e15:
+            break
+        a = int(math.floor(recip))
+        h_prev, h_curr = h_curr, a * h_curr + h_prev
+        k_prev, k_curr = k_curr, a * k_curr + k_prev
+        if abs(omega - h_curr / k_curr) >= 1.0 / k_curr ** 2:
+            break  # floating-point exhausted; drop the degraded tail
+        convergents.append((h_curr, k_curr))
+        x = recip - a
+        if x <= 1e-15:
+            break  # rational within double precision; expansion terminates
+    return convergents
+
+
+def reference_polynomial(omega, period, alpha, convergent_index):
+    """Convergent-based reference filter for frequency omega, period p.
+
+    Exact roots at the conjugate pairs lambda_{+-j} for
+    j <= floor(alpha p L_n), root-of-unity surrogates mu_{+-j} beyond,
+    up to j = floor(p L_n / 2); L_n is the ``convergent_index``-th
+    continued-fraction denominator of omega.  Returns the coefficients,
+    ascending, normalized to value one at z = 1.
+    """
+    if not 0.0 < alpha < 0.25:
+        raise ContractViolation(f"need alpha in (0, 1/4), got {alpha}")
+    if period < 1:
+        raise ContractViolation(f"need period >= 1, got {period}")
+    convergents = continued_fraction_convergents(omega, convergent_index)
+    if len(convergents) < convergent_index:
+        raise ContractViolation(
+            f"omega has only {len(convergents)} convergents, need {convergent_index}"
+        )
+    num, den = convergents[convergent_index - 1]
+    exact_pairs = int(math.floor(alpha * period * den))
+    total_pairs = int(math.floor(period * den / 2))
+
+    def lam(j):
+        # signal frequency ladder (j omega + residue class) / p
+        quotient, residue = divmod(j, period)
+        angle = TWO_PI * (quotient * omega + residue) / period
+        return complex(math.cos(angle), math.sin(angle))
+
+    def mu(j):
+        quotient, residue = divmod(j, period)
+        angle = TWO_PI * (quotient * num / den + residue) / period
+        return complex(math.cos(angle), math.sin(angle))
+
+    coeffs = np.array([1.0])
+    for j in range(1, exact_pairs + 1):
+        coeffs = np.convolve(coeffs, _conjugate_pair_factor(lam(j)))
+    for j in range(exact_pairs + 1, total_pairs + 1):
+        coeffs = np.convolve(coeffs, _conjugate_pair_factor(mu(j)))
+    return coeffs / coeffs.sum()
+
+
+def brute_force_fourier_coefficient(samples, omega, mode, n=None):
+    """Weighted Birkhoff estimate of one Fourier coefficient.
+
+    Averages a_t e^{-2 pi i mode omega t} over ``n`` samples (default:
+    all supplied).  This is the independent oracle for circle
+    coefficients; it never touches the projection machinery.
+    """
+    if isinstance(samples, Trajectory):
+        samples = samples.samples
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 1:
+        samples = samples[:, None]
+    if n is None:
+        n = samples.shape[0]
+    if n < 1000:
+        raise ContractViolation(f"need at least 1000 samples, got {n}")
+    if samples.shape[0] < n:
+        raise ContractViolation(f"only {samples.shape[0]} samples supplied, need {n}")
+    w = bump_weights(n)
+    phases = np.exp(-2j * math.pi * mode * omega * np.arange(n))
+    return (w * phases) @ samples[:n]

@@ -22,7 +22,6 @@ from birkhoff_rre.maps import (
     Trajectory,
     sample_trajectory,
 )
-from birkhoff_rre.oracle import brute_force_fourier_coefficient
 from birkhoff_rre.rre import build_problem, difference_signal, solve_filter, solve_from_trajectory
 from birkhoff_rre.spectral import (
     ClassifyParams,
@@ -31,7 +30,7 @@ from birkhoff_rre.spectral import (
     palindromic_roots,
     unit_circle_filter,
 )
-from checks import GOLDEN, pair_distance, wba_feasible_objective
+from checks import GOLDEN, brute_force_fourier_coefficient, pair_distance, wba_feasible_objective
 
 MAP_K = 0.7
 

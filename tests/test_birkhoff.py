@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoff_rre.birkhoff import (
-    bump_weights,
-    unweighted_average,
-    wba_doubling_residual,
-    weighted_average,
-)
+from birkhoff_rre.birkhoff import bump_weights, wba_doubling_residual_at, weighted_average
 from birkhoff_rre.errors import ContractViolation
 from birkhoff_rre.maps import EmbeddingObservable, StandardMap, Trajectory, sample_trajectory
 from checks import GOLDEN, figure2_signal
@@ -84,34 +79,16 @@ class TestWeightedAverage:
         assert values[-1] < values[0]
 
 
-class TestUnweightedAverage:
-    def test_constant(self):
-        traj = Trajectory(np.full((9, 2), 2.5))
-        assert np.allclose(unweighted_average(traj), [2.5, 2.5], atol=0)
-
-    def test_alternating(self):
-        traj = Trajectory(np.array([0.0, 1.0] * 8))
-        assert unweighted_average(traj)[0] == 0.5
-
-    def test_figure2_error(self):
-        err = abs(unweighted_average(Trajectory(figure2_signal(11)))[0] - 1.266066)
-        assert abs(err - 7.11e-2) <= 0.05 * 7.11e-2
-
-
 class TestDoublingResidual:
     def test_constant_is_zero(self):
-        assert wba_doubling_residual(Trajectory(np.ones((10, 2)))) == 0.0
+        assert wba_doubling_residual_at(np.ones((10, 2)), 5) == 0.0
 
     def test_period_two_even_half(self):
         # both halves see the same aligned pattern when T is even
         traj = Trajectory(np.array([1.0, -1.0] * 6))
-        assert wba_doubling_residual(traj) < 1e-16
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ContractViolation):
-            wba_doubling_residual(Trajectory(np.zeros((7, 1))))
+        assert wba_doubling_residual_at(traj.samples, 6) < 1e-16
 
     def test_integrable_standard_map_converges(self):
         traj = sample_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                  (0.1, 0.0), 100_000)
-        assert wba_doubling_residual(traj) < 1e-11
+        assert wba_doubling_residual_at(traj.samples, 50_000) < 1e-11

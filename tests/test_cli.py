@@ -1,8 +1,11 @@
 import configparser
 import importlib.util
+import io
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,7 +61,6 @@ BAD_VALUES = [
     ("gamma = 3", "gamma = 0.5"),
     ("k_init = 50", "k_init = 700"),
     ("delta_k = 50", "delta_k = 0"),
-    ("delta_k = 50", "delta_k = 50\nadapt_gate = median"),
     ("delta_adapt = 1e-10", "delta_adapt = nan"),
     ("delta_adapt = 1e-10", "delta_adapt = inf"),
     ("delta_k = 50", "delta_k = 50\neps_rat = inf"),
@@ -97,6 +99,16 @@ class HalvingMap(DynamicalMap):
         return np.asarray(point, dtype=float) / 2.0
 
 
+class DriftMap(DynamicalMap):
+    """(x, y) -> (x, y + 1): from y = 0, the orbit leaves an escape bound b
+    at step floor(b) + 1."""
+
+    state_dimension = 2
+
+    def step(self, point):
+        return np.asarray(point, dtype=float) + (0.0, 1.0)
+
+
 # (flag, class, k, observable, seed, ClassifyParams overrides): each case
 # reaches its flag through classify_seed; k = None runs HalvingMap
 FLAG_CASES = [
@@ -122,9 +134,10 @@ def flag_name(token):
 
 # keys that are not [algorithm] parameters, each with a value in range, so
 # only the key itself can be rejected: the chaos gate is the adaptive
-# solve's own convergence verdict, and the other four are module constants
+# solve's own convergence verdict, the adaptive gate is always R_G, and the
+# other four are module constants
 REMOVED_KEYS = [("delta_chaos", "1e-10"), ("top_modes", "10"), ("unit_circle_tol", "1e-7"),
-                ("gamma_max", "0.5"), ("validation_j", "128")]
+                ("gamma_max", "0.5"), ("validation_j", "128"), ("adapt_gate", "scale_free")]
 
 
 def read_body(path):
@@ -272,6 +285,36 @@ class TestClassifySeed:
         assert flag in row["flags"].split("|")
         assert row["class"] == tag
 
+    def test_validation_failure_keeps_label(self, monkeypatch):
+        # an advance that escapes makes validation_residual raise
+        # ValidationFailure: the fit fails, the label and rotation stay
+        def nan_advance(dmap, obs):
+            return (lambda value: np.full(2, np.nan)), True
+
+        monkeypatch.setattr(cli, "make_observable_advance", nan_advance)
+        seed = (0.05, 0.1)
+        row, payload = classify_seed(RunConfig(seeds=[seed]), seed)
+        assert row["class"] == "integrable"
+        assert row["period"] == "1" and row["rotation"] != ""
+        assert row["R_p"] == ""
+        assert row["flags"].split("|") == ["fit_failed:ValidationFailure"]
+        assert payload is None
+
+    def test_error_row_keeps_only_seed(self, monkeypatch):
+        # a failure after classification leaves no partial result in the row
+        def boom(classification):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(cli, "fit_circle", boom)
+        seed = (0.05, 0.1)
+        row, payload = classify_seed(RunConfig(seeds=[seed]), seed)
+        assert row["class"] == "error"
+        assert row["flags"] == "RuntimeError:synthetic failure"
+        assert (row["seed_x"], row["seed_y"]) == ("0.050000000000000003", "0.10000000000000001")
+        assert all(row[col] == "" for col in cli.CSV_COLUMNS
+                   if col not in ("seed_x", "seed_y", "class", "flags"))
+        assert payload is None
+
 
 class TestClassifyCommand:
     def test_rows_and_determinism(self, tmp_path):
@@ -326,6 +369,34 @@ class TestClassifyCommand:
         assert row[7] == ""
         assert "fit_failed:NotImplementedError" in row[10].split("|")
         assert not os.listdir(circles)
+
+    @pytest.mark.parametrize("workers, seeds, pool_size", [(64, 3, 3), (64, 1, None)])
+    def test_pool_never_larger_than_seed_count(self, tmp_path, monkeypatch,
+                                               workers, seeds, pool_size):
+        # records the pool it is asked for and runs the jobs in this process
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli, "classify_seed",
+                            lambda cfg, seed: ({col: "" for col in cli.CSV_COLUMNS}, None))
+        cfg = RunConfig(seeds=[(0.0, 0.0)] * seeds, table=str(tmp_path / "t.csv"),
+                        workers=workers)
+        assert cli.run_classify(cfg, out=io.StringIO()) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(read_body(tmp_path / "t.csv").splitlines()) == 1 + seeds
 
     def test_parallel_output_identical(self, tmp_path):
         table = tmp_path / "out.csv"
@@ -448,6 +519,20 @@ class TestConvergeCommand:
             assert float(row[4]) > 1e-8
             assert float(row[5]) > 1e-5
 
+    def test_escaped_seed_reported(self, tmp_path, monkeypatch, capsys):
+        # the drifting orbit leaves escape_bound = 150 at step 151: K = 25
+        # needs 89 samples and K = 50 needs 176, so one row is written
+        monkeypatch.setattr(cli, "build_map", lambda cfg: DriftMap())
+        table = tmp_path / "conv.csv"
+        body = BASE.format(table=table).replace(
+            "observable = embedding", "observable = identity\nescape_bound = 150"
+        ).replace("seeds = 0.0 0.0; 0.1 0.0; 0.5 0.05", "seeds = 0.0 0.0")
+        body = body.replace("delta_adapt = 1e-10", "delta_adapt = 1e-10\nk_values = 25 50")
+        assert main(["converge", write_config(tmp_path / "run.ini", body)]) == 0
+        assert "seed (0.0, 0.0): escaped at step 151" in capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in open(table).read().splitlines()[2:]]
+        assert [(row[2], row[3]) for row in rows] == [("25", "89")]
+
     def test_fixed_point_rre_zero_at_first_k(self, tmp_path):
         table = tmp_path / "conv.csv"
         body = BASE.format(table=table).replace(
@@ -485,3 +570,17 @@ class TestFigure2Command:
         assert abs(errors["all-ones"] - 7.11e-2) <= 0.05 * 7.11e-2
         assert abs(errors["wba"] - 7.38e-3) <= 0.05 * 7.38e-3
         assert abs(errors["tuned"] - 2.72e-5) <= 0.05 * 2.72e-5
+
+
+def test_readme_library_example():
+    # README's library example runs as written against the exported names
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", example], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    labels, residual = done.stdout.splitlines()
+    assert labels.startswith("integrable 2 0.11274")
+    assert float(residual) < 1e-8

@@ -13,9 +13,9 @@ from birkhoff_rre.maps import (
     StandardMap,
     Trajectory,
     sample_trajectory,
-    standard_map_inverse_step,
     standard_map_step,
 )
+from checks import standard_map_inverse_step
 
 finite_coords = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -165,7 +165,3 @@ class TestTrajectory:
         traj = Trajectory(np.arange(4.0))
         assert traj.dimension == 1
         assert traj.length == 4
-
-    def test_reversed(self):
-        traj = Trajectory(np.array([[0.0], [1.0], [2.0]]))
-        assert np.array_equal(traj.reversed().samples[:, 0], [2.0, 1.0, 0.0])

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoff_rre.birkhoff import wba_doubling_residual
+from birkhoff_rre.birkhoff import wba_doubling_residual_at
 from birkhoff_rre.errors import ContractViolation, OrbitEscape
 from birkhoff_rre.maps import (
     CoordinateObservable,
@@ -238,7 +238,7 @@ class TestAdaptiveSolve:
         # cross-check with the long doubling residual: genuinely chaotic
         long = sample_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                  (0.5, 0.05), 20_000)
-        assert wba_doubling_residual(long) > 1e-5
+        assert wba_doubling_residual_at(long.samples, 10_000) > 1e-5
 
     def test_budget_accounting_scalar_observable(self):
         # D = 1, integer gamma: the final trajectory has (2+gamma)K+1 samples
@@ -277,16 +277,15 @@ class TestAdaptiveSolve:
             source.take(100)
         assert info.value.step == 30
 
-    @pytest.mark.parametrize("gate, stop_k", [("residual", 100), ("scale_free", 150)])
-    def test_gate_stops_at_first_entry_below_delta(self, gate, stop_k):
-        # at K = 100, R is below delta_adapt and R_G is not
-        params = ClassifyParams(adapt_gate=gate)
+    def test_gate_stops_at_first_entry_below_delta(self):
+        # the gate is R_G: at K = 100, R is below delta_adapt and R_G is not
+        params = ClassifyParams()
         source = TrajectorySource(StandardMap(0.7), CoordinateObservable(1), (0.05, 0.2))
         result = adaptive_solve(source, params)
-        column = 2 if gate == "residual" else 3
-        gate_values = [entry[column] for entry in result.history]
+        gate_values = [entry[3] for entry in result.history]
         assert result.converged
-        assert result.solution.half_length == stop_k
+        assert result.solution.half_length == 150
+        assert result.history[1][0] == 100 and result.history[1][2] <= params.delta_adapt
         assert gate_values[-1] <= params.delta_adapt
         assert all(value > params.delta_adapt for value in gate_values[:-1])
 

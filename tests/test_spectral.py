@@ -23,7 +23,6 @@ from birkhoff_rre.spectral import (
     chebyshev_coefficients,
     classify_trajectory,
     colleague_matrix,
-    continued_fraction_convergents,
     island_period,
     mode_prominence,
     palindromic_roots,
@@ -31,7 +30,7 @@ from birkhoff_rre.spectral import (
     stack_signal,
     unit_circle_filter,
 )
-from checks import GOLDEN, complex_mode_fit, pair_distance
+from checks import GOLDEN, complex_mode_fit, continued_fraction_convergents, pair_distance
 from test_cli import BAD_VALUES
 
 # the BAD_VALUES rows that set a ClassifyParams field, as (key, raw value)
@@ -100,7 +99,7 @@ class TestPalindromicRoots:
     def test_tuned_filter_roots(self):
         from birkhoff_rre.oracle import tuned_filter
 
-        roots = palindromic_roots(tuned_filter(GOLDEN, 11).coefficients).roots
+        roots = palindromic_roots(tuned_filter(GOLDEN, 11)).roots
         for k in range(1, 6):
             lam = np.exp(2j * np.pi * GOLDEN * k)
             assert np.min(np.abs(roots - lam)) < 1e-9
@@ -240,9 +239,7 @@ class TestRationalDetect:
 class TestIslandPeriod:
     @staticmethod
     def mode(frequency, low_confidence):
-        root = complex(np.exp(2j * np.pi * frequency))
-        return ModeEntry(root=root, frequency=frequency, prominence=1.0,
-                         low_confidence=low_confidence)
+        return ModeEntry(frequency=frequency, prominence=1.0, low_confidence=low_confidence)
 
     def test_low_confidence_half_is_period_two(self):
         # a root near z = -1 is accurate only to about sqrt(eps), so a mode
@@ -417,7 +414,7 @@ class TestClassify:
         traj = sample_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                  (0.1, 0.0), 271)
         forward = rotation_of(traj)
-        backward = rotation_of(traj.reversed())
+        backward = rotation_of(Trajectory(traj.samples[::-1]))
         assert forward is not None
         assert abs(forward - backward) < 1e-9
 
