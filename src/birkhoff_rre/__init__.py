@@ -36,6 +36,7 @@ from .maps import (
     Observable,
     StandardMap,
     Trajectory,
+    TrajectorySource,
     sample_trajectory,
     standard_map_step,
 )
@@ -43,7 +44,6 @@ from .rre import (
     AdaptiveResult,
     FilterSolution,
     RreProblem,
-    TrajectorySource,
     adaptive_solve,
     build_problem,
     difference_signal,
@@ -54,7 +54,6 @@ from .rre import (
 from .spectral import (
     Classification,
     ClassifyParams,
-    ModeRanking,
     RootSet,
     canonical_frequency,
     chebyshev_coefficients,

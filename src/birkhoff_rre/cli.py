@@ -26,9 +26,10 @@ from .maps import (
     EmbeddingObservable,
     IdentityObservable,
     StandardMap,
+    TrajectorySource,
     sample_trajectory,
 )
-from .rre import TrajectorySource, solve_at
+from .rre import solve_at
 from .spectral import classify_trajectory
 
 CSV_COLUMNS = ("seed_x", "seed_y", "class", "period", "rotation",
@@ -174,8 +175,7 @@ def converge_seed(cfg, seed, k_values):
     so both methods see an equal sample budget.  Yields the rows in
     order of K, and raises OrbitEscape once the orbit escapes.
     """
-    source = TrajectorySource(build_map(cfg), build_observable(cfg), seed,
-                              escape_bound=cfg.params.escape_bound)
+    source = TrajectorySource(build_map(cfg), build_observable(cfg), seed, cfg.params.escape_bound)
     for k in k_values:
         traj, solution = solve_at(source, k, cfg.params)
         n = traj.length

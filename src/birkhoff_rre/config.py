@@ -43,6 +43,8 @@ class RunConfig:
             raise ConfigError(f"unknown map {self.map_name!r}")
         if self.observable not in ("embedding", "identity", "x", "y"):
             raise ConfigError(f"unknown observable {self.observable!r}")
+        if self.params.escape_bound < 1:  # it bounds every coordinate, and x spans [0, 1)
+            raise ConfigError(f"escape_bound must be >= 1, got {self.params.escape_bound}")
         if not self.seeds:
             raise ConfigError("no seeds configured")
         if self.workers < 1:

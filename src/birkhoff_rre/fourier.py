@@ -17,8 +17,8 @@ from .birkhoff import bump_weights
 from .errors import ContractViolation, ValidationFailure
 from .numerics import least_squares_solve
 
-DEFAULT_GAMMA_MAX = 0.5
-DEFAULT_VALIDATION_GRID = 128
+GAMMA_MAX = 0.5        # choose_num_modes keeps gamma_L below this
+VALIDATION_GRID = 128  # J, the validation_residual grid size
 
 
 @dataclass
@@ -58,23 +58,21 @@ def _gamma_sums(window, omega, terms):
         yield acc
 
 
-def choose_num_modes(window, omega, gamma_max=DEFAULT_GAMMA_MAX):
+def choose_num_modes(window, omega):
     """Largest L whose projection stays provably well conditioned.
 
     The normal matrix of the mode projection is Toeplitz with entries
     eta_n = sum_{t=0}^{window} w_{t,window+1} e^{2 pi i omega n t}, so
-    gamma_L = sum_{n=1}^{2L} |eta_n| < gamma_max bounds its condition
+    gamma_L = sum_{n=1}^{2L} |eta_n| < GAMMA_MAX bounds its condition
     number by sqrt((1+2 gamma_L)/(1-2 gamma_L)).  Returns L >= 0
     (L = 0 is a mean-only fit), capped so 2L+1 never exceeds the
     sample count.
     """
-    if not 0.0 < gamma_max <= 0.5:
-        raise ContractViolation(f"need gamma_max in (0, 1/2], got {gamma_max}")
     if window < 2:
         raise ContractViolation(f"need window >= 2, got {window}")
     best = 0
     for n, gamma in enumerate(_gamma_sums(window, omega, 2 * ((window - 1) // 2)), 1):
-        if gamma >= gamma_max:
+        if gamma >= GAMMA_MAX:
             break
         if n % 2 == 0:
             best = n // 2
@@ -188,30 +186,29 @@ def make_observable_advance(dynamical_map, observable):
     return advance, not isinstance(observable, IdentityObservable)
 
 
-def validation_residual(circle, advance, grid_size=DEFAULT_VALIDATION_GRID):
+def validation_residual(circle, advance):
     """Root-mean-square defect of the chain conjugacy on a uniform grid.
 
     R_p^2 = (1/(pJ)) sum_j [ |z_1(jh + omega) - F(z_p(jh))|^2
                              + sum_i |z_{i+1}(jh) - F(z_i(jh))|^2 ]
-    with h = 1/J.  ``advance`` must apply one step of the map in the
-    space the circle lives in (see make_observable_advance).
+    with h = 1/J, J = VALIDATION_GRID.  ``advance`` must apply one step
+    of the map in the space the circle lives in (see
+    make_observable_advance).
     """
-    if grid_size < 8:
-        raise ContractViolation(f"need grid_size >= 8, got {grid_size}")
     p = circle.period
-    thetas = np.arange(grid_size) / grid_size
+    thetas = np.arange(VALIDATION_GRID) / VALIDATION_GRID
     values = [eval_circle(circle, j + 1, thetas) for j in range(p)]
     # component i is carried onto i + 1, and the last onto the rotated first
     targets = values[1:] + [eval_circle(circle, 1, (thetas + circle.rotation) % 1.0)]
     total = 0.0
-    for idx in range(grid_size):
+    for idx in range(VALIDATION_GRID):
         for source, target in zip(values, targets):
             img = advance(source[idx])
             if not np.all(np.isfinite(img)):
                 raise ValidationFailure(f"map escaped at grid point {idx}")
             diff = target[idx] - img
             total += float(diff @ diff)
-    return math.sqrt(total / (p * grid_size))
+    return math.sqrt(total / (p * VALIDATION_GRID))
 
 
 def fit_circle(classification):

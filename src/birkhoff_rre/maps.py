@@ -138,46 +138,65 @@ class CoordinateObservable(Observable):
         return np.array((float(point[self.index]),))
 
 
-def _advance_orbit(dynamical_map, observable, point, out, first_step, escape_bound):
-    """Step on from ``point``, the state at step first_step - 1.
+class TrajectorySource:
+    """One seed's orbit a_t = observable(F^t(x0)): the one loop that steps a map.
 
-    Row i of ``out`` receives the observable at step first_step + i, one
-    map evaluation per row.  Returns the state at the last row.  Raises
-    OrbitEscape as sample_trajectory documents.
+    ``take(n)`` returns the first n samples, stepping the map only past
+    those already drawn, so ``samples_drawn`` - 1 map evaluations were
+    made.  The samples live in one buffer that doubles when a take
+    outgrows it; a returned trajectory views rows no later take writes.
+    ``take`` raises OrbitEscape (with the offending step index) if the
+    state becomes non-finite or any coordinate exceeds ``escape_bound``,
+    or if the observable is non-finite; unbounded drift otherwise
+    poisons the downstream linear algebra.
     """
-    for i in range(out.shape[0]):
-        point = dynamical_map.step(point)
-        # scalar checks on the coordinates: numpy reductions on a 2-vector
-        # cost more than the map step itself
-        coords = point.tolist() if isinstance(point, np.ndarray) else point
-        for c in coords:
-            if not (math.isfinite(c) and abs(c) <= escape_bound):
-                raise OrbitEscape(f"orbit escaped at step {first_step + i}",
-                                  step=first_step + i)
-        out[i] = observable.evaluate(point)
-    bad = np.flatnonzero(~np.all(np.isfinite(out), axis=1))
-    if bad.size:
-        step = first_step + int(bad[0])
-        raise OrbitEscape(f"observable non-finite at step {step}", step=step)
-    return point
+
+    def __init__(self, dynamical_map, observable, x0, escape_bound=DEFAULT_ESCAPE_BOUND):
+        self.dynamical_map = dynamical_map
+        self.observable = observable
+        self.escape_bound = escape_bound
+        self.samples_drawn = 0
+        self._state = np.asarray(x0, dtype=float)  # at sample max(samples_drawn - 1, 0)
+        self._buffer = None
+
+    def take(self, n):
+        if n < 1:
+            raise ContractViolation(f"need n >= 1, got {n}")
+        if n <= self.samples_drawn:
+            return Trajectory(self._buffer[:n])
+        have, point = self.samples_drawn, self._state
+        if have == 0:
+            first = np.array(self.observable.evaluate(point), dtype=float, ndmin=2)
+            if not np.all(np.isfinite(first)):
+                raise OrbitEscape("observable non-finite at step 0", step=0)
+            self._buffer, have = first, 1
+        if n > self._buffer.shape[0]:
+            grown = np.empty((max(n, 2 * self._buffer.shape[0]), self._buffer.shape[1]))
+            grown[:have] = self._buffer[:have]
+            self._buffer = grown
+        out, bound = self._buffer, self.escape_bound
+        step, evaluate = self.dynamical_map.step, self.observable.evaluate
+        for i in range(have, n):
+            point = step(point)
+            # scalar checks on the coordinates: numpy reductions on a 2-vector
+            # cost more than the map step itself
+            coords = point.tolist() if isinstance(point, np.ndarray) else point
+            for c in coords:
+                if not (math.isfinite(c) and abs(c) <= bound):
+                    raise OrbitEscape(f"orbit escaped at step {i}", step=i)
+            out[i] = evaluate(point)
+        bad = np.flatnonzero(~np.all(np.isfinite(out[have:n]), axis=1))
+        if bad.size:
+            first_bad = have + int(bad[0])
+            raise OrbitEscape(f"observable non-finite at step {first_bad}", step=first_bad)
+        self._state, self.samples_drawn = point, n
+        return Trajectory(out[:n])
 
 
 def sample_trajectory(dynamical_map, observable, x0, n, escape_bound=DEFAULT_ESCAPE_BOUND):
     """Sample a_t = observable(F^t(x0)) for t = 0 .. n-1.
 
-    Uses exactly n - 1 map evaluations.  Raises OrbitEscape (with the
-    offending step index) if the state becomes non-finite or any
-    coordinate exceeds ``escape_bound``, or if the observable is
-    non-finite; unbounded drift otherwise poisons the downstream
-    linear algebra.
+    Uses exactly n - 1 map evaluations, and raises OrbitEscape as
+    TrajectorySource.take does.
     """
-    if n < 1:
-        raise ContractViolation(f"need n >= 1, got {n}")
-    point = np.asarray(x0, dtype=float)
-    first = np.atleast_1d(np.asarray(observable.evaluate(point), dtype=float))
-    out = np.empty((n, first.shape[0]))
-    out[0] = first
-    if not np.all(np.isfinite(first)):
-        raise OrbitEscape("observable non-finite at step 0", step=0)
-    _advance_orbit(dynamical_map, observable, point, out[1:], 1, escape_bound)
-    return Trajectory(out)
+    return TrajectorySource(dynamical_map, observable, x0, escape_bound).take(n)

@@ -41,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation
-from .maps import DEFAULT_ESCAPE_BOUND, Trajectory, _advance_orbit, sample_trajectory
+from .maps import TrajectorySource  # kept here: perfbench/probe.py wraps rre.TrajectorySource
 from .numerics import least_squares_solve
 
 SQRT2 = math.sqrt(2.0)
@@ -274,43 +274,6 @@ def stacked_shape(length, dimension, half_length):
         k = max(1, (length - min_t - 1) // 2)
         t = length - 2 * k - 1
     return (k, t) if t >= 1 else None
-
-
-class TrajectorySource:
-    """Orbit cache for one seed: grows monotonically, never resamples.
-
-    ``take(n)`` returns the first n samples, extending the stored orbit
-    only if it is shorter than n.  ``samples_drawn`` is the longest
-    length seen, so map-evaluation accounting is exact.
-    """
-
-    def __init__(self, dynamical_map, observable, x0, escape_bound=DEFAULT_ESCAPE_BOUND):
-        self.dynamical_map = dynamical_map
-        self.observable = observable
-        self.x0 = np.asarray(x0, dtype=float)
-        self.escape_bound = escape_bound
-        self._samples = None
-        self._state = None
-
-    @property
-    def samples_drawn(self):
-        return 0 if self._samples is None else self._samples.shape[0]
-
-    def take(self, n):
-        if n < 1:
-            raise ContractViolation(f"need n >= 1, got {n}")
-        if self._samples is None:
-            self._samples = sample_trajectory(
-                self.dynamical_map, self.observable, self.x0, 1, self.escape_bound
-            ).samples
-            self._state = self.x0
-        have = self._samples.shape[0]
-        if n > have:
-            extra = np.empty((n - have, self._samples.shape[1]))
-            self._state = _advance_orbit(self.dynamical_map, self.observable,
-                                         self._state, extra, have, self.escape_bound)
-            self._samples = np.vstack([self._samples, extra])
-        return Trajectory(self._samples[:n])
 
 
 @dataclass

@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ContractViolation, OrbitEscape
 from .fourier import weighted_mode_fit
-from .maps import DEFAULT_ESCAPE_BOUND, Trajectory
+from .maps import DEFAULT_ESCAPE_BOUND, Trajectory, TrajectorySource
 from .numerics import real_eigenvalues
-from .rre import TrajectorySource, adaptive_solve, solve_from_trajectory, stacked_shape
+from .rre import adaptive_solve, solve_from_trajectory, stacked_shape
 
 PALINDROME_TOL = 1e-10
 UNIT_CIRCLE_TOL = 1e-7  # about sqrt(machine epsilon)
@@ -123,11 +123,9 @@ def palindromic_roots(c):
     return RootSet(roots=roots, low_confidence=shaky)
 
 
-def unit_circle_filter(root_set, tol=UNIT_CIRCLE_TOL):
-    """Keep roots with | |z| - 1 | <= tol."""
-    if tol <= 0:
-        raise ContractViolation(f"need tol > 0, got {tol}")
-    keep = np.abs(np.abs(root_set.roots) - 1.0) <= tol
+def unit_circle_filter(root_set):
+    """Keep roots with | |z| - 1 | <= UNIT_CIRCLE_TOL."""
+    keep = np.abs(np.abs(root_set.roots) - 1.0) <= UNIT_CIRCLE_TOL
     return RootSet(roots=root_set.roots[keep], low_confidence=root_set.low_confidence[keep])
 
 
@@ -147,13 +145,6 @@ class ModeEntry:
     low_confidence: bool  # either root of the pair tagged near z = +-1
 
 
-@dataclass
-class ModeRanking:
-    """Modes sorted by descending prominence in the signal."""
-
-    entries: list
-
-
 _CONSTANT_ROOT_TOL = 1e-9
 
 
@@ -169,7 +160,8 @@ def mode_prominence(root_set, trajectory):
     filter polynomial cannot have 1 as a root -- unless a supplied root
     already sits there.  Nodes of equal frequency are merged into one
     entry with their prominences summed, so one real oscillation is one
-    mode, low-confidence if any of its roots is.
+    mode, low-confidence if any of its roots is.  Returns the ModeEntry
+    list sorted by descending prominence.
     """
     roots = root_set.roots
     if roots.shape[0] == 0:
@@ -192,8 +184,7 @@ def mode_prominence(root_set, trajectory):
                                     low_confidence=old.low_confidence or shaky)
         else:
             groups[key] = ModeEntry(frequency=freq, prominence=p, low_confidence=shaky)
-    entries = sorted(groups.values(), key=lambda e: -e.prominence)
-    return ModeRanking(entries=entries)
+    return sorted(groups.values(), key=lambda e: -e.prominence)
 
 
 def rational_detect(omega, p_max, tol):
@@ -332,15 +323,13 @@ def island_period(entries, params):
 def classify_trajectory(dynamical_map, observable, x0, params=None):
     """Full pipeline: adaptive solve, chaos gate, roots, islands, rotation."""
     params = params or ClassifyParams()
-    source = TrajectorySource(
-        dynamical_map, observable, x0, escape_bound=params.escape_bound
-    )
+    source = TrajectorySource(dynamical_map, observable, x0, params.escape_bound)
     try:
         result = adaptive_solve(source, params)
     except OrbitEscape as exc:
         return Classification(
             tag="chaotic",
-            diagnostics={"escape_step": exc.step, "N": source.samples_drawn},
+            diagnostics={"escape_step": exc.step, "N": exc.step + 1},  # exc.step map evaluations
             flags=["escape"],
         )
     solution = result.solution
@@ -375,7 +364,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
             flags=["no_unit_circle_roots"],
         )
     ranking = mode_prominence(roots, traj)
-    period = island_period(ranking.entries[:ISLAND_TEST_MODES], params)
+    period = island_period(ranking[:ISLAND_TEST_MODES], params)
     if period > 1:
         # island chain: stack and redo the solve on the wide signal
         traj = stack_signal(traj, period)
@@ -411,7 +400,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     # part exactly 1.0 (the doubles beside it give >= 2.4e-9), where the
     # filter's value is P(1) = sum(c) = 1, not 0.  Were it missing, next()
     # would raise and the seed become an error row, never integrable.
-    rotation = next(e.frequency for e in ranking.entries if e.frequency > _CONSTANT_ROOT_TOL)
+    rotation = next(e.frequency for e in ranking if e.frequency > _CONSTANT_ROOT_TOL)
     flags = []
     if period > 1:
         # one stacking pass only; a rational frequency surviving here is

@@ -39,7 +39,7 @@ def extract_rotation(trajectory, half_length, window_count):
     solution = solve_from_trajectory(trajectory, half_length, window_count)
     roots = unit_circle_filter(palindromic_roots(solution.coefficients))
     ranking = mode_prominence(roots, trajectory)
-    for entry in ranking.entries:
+    for entry in ranking:
         if entry.frequency > 1e-9:
             return entry.frequency
     return None

@@ -113,7 +113,7 @@ class DriftMap(DynamicalMap):
 # reaches its flag through classify_seed; k = None runs HalvingMap
 FLAG_CASES = [
     ("fixed_point", "integrable", 0.7, "embedding", (0.0, 0.0), {}),
-    ("escape", "chaotic", 0.7, "embedding", (0.05, 0.3), {"escape_bound": 0.2}),
+    ("escape", "chaotic", 2.0, "embedding", (0.5, 0.0), {"escape_bound": 2.0}),
     ("periodic_orbit", "integrable", 0.7, "embedding", (0.0, 0.5), {}),
     ("no_unit_circle_roots", "indeterminate", None, "identity", (0.3, 0.2),
      {"k_init": 1, "k_max": 1, "delta_k": 1}),
@@ -194,6 +194,19 @@ class TestConfig:
         assert main(["classify", cfg]) == 2
         assert "config error" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.ini", "taken"]  # nothing written
+
+    def test_escape_bound_below_one_exits_two(self, tmp_path, capsys):
+        # the bound applies to every coordinate, and the angle x leaves any
+        # bound below 1: at 0.2 the k = 0.7 circle seed (0.05, 0.1) would
+        # escape at step 4, with x = 0.931
+        body = BASE.format(table=tmp_path / "t.csv").replace(
+            "k = 0.7", "k = 0.7\nescape_bound = 0.999")
+        assert main(["classify", write_config(tmp_path / "bad.ini", body)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "escape_bound" in err
+        assert not (tmp_path / "t.csv").exists()
+        cfg = load_config(write_config(tmp_path / "ok.ini", body.replace("0.999", "1")))
+        assert cfg.params.escape_bound == 1.0
 
     @pytest.mark.parametrize("key, value", REMOVED_KEYS, ids=[k for k, _ in REMOVED_KEYS])
     def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
@@ -284,6 +297,16 @@ class TestClassifySeed:
         row, _ = classify_seed(cfg, seed)
         assert flag in row["flags"].split("|")
         assert row["class"] == tag
+
+    def test_escape_row_counts_map_evaluations(self):
+        # at k = 2.0 the orbit of (0.5, 0.0) reaches y = 2.09 at step 215,
+        # inside the K = 100 rung, so 215 map evaluations were made
+        seed = (0.5, 0.0)
+        cfg = RunConfig(k=2.0, params=ClassifyParams(escape_bound=2.0), seeds=[seed])
+        row, payload = classify_seed(cfg, seed)
+        assert (row["class"], row["flags"]) == ("chaotic", "escape")
+        assert row["N"] == "215"
+        assert payload is None
 
     def test_validation_failure_keeps_label(self, monkeypatch):
         # an advance that escapes makes validation_residual raise

@@ -12,6 +12,7 @@ from birkhoff_rre.maps import (
     IdentityObservable,
     StandardMap,
     Trajectory,
+    TrajectorySource,
     sample_trajectory,
     standard_map_step,
 )
@@ -158,6 +159,19 @@ class TestSampleTrajectory:
     def test_bad_length(self):
         with pytest.raises(ContractViolation):
             sample_trajectory(StandardMap(0.1), IdentityObservable(), (0.0, 0.0), 0)
+
+
+class TestTrajectorySource:
+    def test_earlier_take_survives_extension(self):
+        # 60 and 5000 outgrow the buffer, 80 fills it in place: the first
+        # view keeps the rows it was given either way
+        source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.2))
+        t = source.take(50)
+        for n in (60, 80, 5000):
+            source.take(n)
+        expected = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.2), 50)
+        assert np.array_equal(t.samples, expected.samples)
+        assert source.samples_drawn == 5000
 
 
 class TestTrajectory:

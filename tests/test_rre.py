@@ -15,10 +15,10 @@ from birkhoff_rre.maps import (
     Observable,
     StandardMap,
     Trajectory,
+    TrajectorySource,
     sample_trajectory,
 )
 from birkhoff_rre.rre import (
-    TrajectorySource,
     adaptive_solve,
     build_problem,
     difference_signal,

@@ -11,10 +11,11 @@ from birkhoff_rre.maps import (
     EmbeddingObservable,
     StandardMap,
     Trajectory,
+    TrajectorySource,
     sample_trajectory,
 )
 from birkhoff_rre.numerics import real_eigenvalues
-from birkhoff_rre.rre import TrajectorySource, adaptive_solve, solve_from_trajectory
+from birkhoff_rre.rre import adaptive_solve, solve_from_trajectory
 from birkhoff_rre.spectral import (
     ClassifyParams,
     ModeEntry,
@@ -128,7 +129,7 @@ class TestPalindromicRoots:
         b = np.array([0.5 + 0.3 * x0, -(x0 + 0.3), 0.5])
         c = np.concatenate([b[:0:-1] / 2.0, [b[0]], b[1:] / 2.0])
         roots = palindromic_roots(c)
-        kept = unit_circle_filter(roots, 1e-7)
+        kept = unit_circle_filter(roots)
         assert len(kept) == 4
         near = kept.roots[np.abs(kept.roots - edge) < 1e-6]
         assert len(near) == 2 and np.all(kept.low_confidence[np.abs(kept.roots - edge) < 1e-6])
@@ -138,13 +139,13 @@ class TestPalindromicRoots:
 class TestUnitCircleFilter:
     def test_drops_off_circle_roots(self):
         roots = RootSet(np.array([2.0 + 0j, np.exp(0.4j)]), np.zeros(2, dtype=bool))
-        kept = unit_circle_filter(roots, 1e-7)
+        kept = unit_circle_filter(roots)
         assert len(kept) == 1
         assert abs(kept.roots[0] - np.exp(0.4j)) < 1e-15
 
     def test_empty_survivors_allowed(self):
         roots = RootSet(np.array([2.0 + 0j, 3.0 + 0j]), np.zeros(2, dtype=bool))
-        assert len(unit_circle_filter(roots, 1e-7)) == 0
+        assert len(unit_circle_filter(roots)) == 0
 
     def test_inside_tolerance_kept(self):
         z = (1.0 + 1e-9) * np.exp(1j)
@@ -160,15 +161,15 @@ class TestModeProminence:
         roots = np.exp(2j * np.pi * np.array([w1, -w1, w2, -w2]))
         ranking = mode_prominence(RootSet(roots, np.zeros(4, dtype=bool)),
                                   Trajectory(signal))
-        assert abs(ranking.entries[0].frequency - w1) < 1e-12
-        assert abs(ranking.entries[0].prominence - 3.0) < 1e-9
-        assert abs(ranking.entries[1].prominence - 0.1) < 1e-9
+        assert abs(ranking[0].frequency - w1) < 1e-12
+        assert abs(ranking[0].prominence - 3.0) < 1e-9
+        assert abs(ranking[1].prominence - 0.1) < 1e-9
 
     def test_constant_signal_mean_prominence(self):
         traj = Trajectory(np.full(64, -1.75))
         roots = RootSet(np.array([1.0 + 0j]), np.zeros(1, dtype=bool))
         ranking = mode_prominence(roots, traj)
-        assert abs(ranking.entries[0].prominence - 1.75) < 1e-12
+        assert abs(ranking[0].prominence - 1.75) < 1e-12
 
     def test_conjugate_pair_prominences_equal_and_merged(self):
         omega = 0.27
@@ -176,8 +177,8 @@ class TestModeProminence:
         traj = Trajectory(np.cos(2 * np.pi * omega * t))
         roots = np.exp(2j * np.pi * np.array([omega, -omega]))
         ranking = mode_prominence(RootSet(roots, np.zeros(2, dtype=bool)), traj)
-        assert len(ranking.entries) == 1
-        assert abs(ranking.entries[0].prominence - 1.0) < 1e-9
+        assert len(ranking) == 1
+        assert abs(ranking[0].prominence - 1.0) < 1e-9
 
     def test_pair_at_minus_one_is_full_rank(self):
         # (z + 1)^2 unfolds to the conjugate pair -1 + 0j, -1 - 0j: one mode
@@ -185,8 +186,8 @@ class TestModeProminence:
         assert sorted(np.signbit(roots.roots.imag)) == [False, True]
         traj = Trajectory(2.0 + 0.5 * np.cos(np.pi * np.arange(60)))
         ranking = mode_prominence(roots, traj)
-        assert [e.frequency for e in ranking.entries] == [0.5]
-        assert abs(ranking.entries[0].prominence - 0.5) < 1e-12
+        assert [e.frequency for e in ranking] == [0.5]
+        assert abs(ranking[0].prominence - 0.5) < 1e-12
 
     # a circle at K = 50 and the period-3 chain at K = 300 on the k = 0.7 line
     @pytest.mark.parametrize("y", [10 * (0.6 / 99), 60 * (0.6 / 99)])
@@ -206,12 +207,12 @@ class TestModeProminence:
             summed[key] = summed.get(key, 0.0) + p
         expected = sorted(summed, key=lambda key: -summed[key])
         top = summed[expected[0]]
-        keys = [round(e.frequency / 1e-9) for e in ranking.entries]
+        keys = [round(e.frequency / 1e-9) for e in ranking]
         assert sorted(keys) == sorted(expected)
         # modes at roundoff level (below 1e-9 of the top) may swap places
         significant = [key for key in expected if summed[key] > 1e-9 * top]
         assert keys[:len(significant)] == significant
-        for key, entry in zip(keys, ranking.entries):
+        for key, entry in zip(keys, ranking):
             assert abs(entry.prominence - summed[key]) <= 1e-9 * top
 
 
@@ -260,7 +261,7 @@ class TestIslandPeriod:
         roots = RootSet(roots=np.array([z, z.conjugate()]),
                         low_confidence=np.array([False, True]))
         traj = sample_trajectory(StandardMap(0.0), EmbeddingObservable(), (0.0, 0.3), 200)
-        entries = mode_prominence(roots, traj).entries
+        entries = mode_prominence(roots, traj)
         assert len(entries) == 1 and entries[0].low_confidence
 
 
@@ -406,7 +407,7 @@ class TestClassify:
             solution = solve_from_trajectory(trajectory, 60, 90)
             roots = unit_circle_filter(palindromic_roots(solution.coefficients))
             ranking = mode_prominence(roots, trajectory)
-            for entry in ranking.entries:
+            for entry in ranking:
                 if entry.frequency > 1e-9:
                     return entry.frequency
             return None
