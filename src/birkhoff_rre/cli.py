@@ -18,17 +18,10 @@ import numpy as np
 
 from . import __version__
 from .birkhoff import bump_weights, wba_doubling_residual_at, weighted_average
-from .config import load_config
+from .config import OBSERVABLES, load_config
 from .errors import ConfigError, OrbitEscape, ValidationFailure
 from .fourier import fit_circle, make_observable_advance, validation_residual
-from .maps import (
-    CoordinateObservable,
-    EmbeddingObservable,
-    IdentityObservable,
-    StandardMap,
-    TrajectorySource,
-    sample_trajectory,
-)
+from .maps import StandardMap, TrajectorySource, sample_trajectory
 from .rre import solve_at
 from .spectral import classify_trajectory
 
@@ -41,13 +34,7 @@ def build_map(cfg):
 
 
 def build_observable(cfg):
-    if cfg.observable == "embedding":
-        return EmbeddingObservable()
-    if cfg.observable == "identity":
-        return IdentityObservable(2)
-    if cfg.observable == "x":
-        return CoordinateObservable(0)
-    return CoordinateObservable(1)
+    return OBSERVABLES[cfg.observable]()
 
 
 def _fmt(value):
@@ -75,8 +62,7 @@ def classify_seed(cfg, seed):
         row["R"] = _fmt(diag.get("R"))
         row["R_G"] = _fmt(diag.get("R_G"))
         row["K"] = _fmt(diag.get("K"))
-        n_samples = diag.get("N")
-        row["N"] = _fmt(None if n_samples is None else int(n_samples) - 1)
+        row["N"] = _fmt(diag["N"] - 1)  # N samples, so N - 1 map evaluations
         flags = list(cls.flags)
         circle_payload = None
         row["period"] = _fmt(cls.period)
@@ -116,8 +102,8 @@ def _circle_json(seed, cls, circle, r_p, flags):
         "L": int(circle.num_modes),
         "coefficients": coeffs,
         "residuals": {
-            "R": float(cls.diagnostics.get("R", math.nan)),
-            "R_G": float(cls.diagnostics.get("R_G", math.nan)),
+            "R": float(cls.diagnostics["R"]),
+            "R_G": float(cls.diagnostics["R_G"]),
             "R_p": float(r_p),
         },
         "flags": list(flags),

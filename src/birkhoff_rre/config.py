@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ContractViolation
+from .maps import CoordinateObservable, EmbeddingObservable, IdentityObservable
 from .spectral import ClassifyParams
 
 _MAP_KEYS = {"name", "k", "observable", "escape_bound"}
@@ -20,12 +21,20 @@ _ALGORITHM_KEYS = (
 _SEED_KEYS = {"mode", "x", "y_min", "y_max", "count", "seeds"}
 _OUTPUT_KEYS = {"table", "circles", "workers"}
 
+# [map] observable: name -> constructor of the observable
+OBSERVABLES = {
+    "embedding": EmbeddingObservable,
+    "identity": IdentityObservable,
+    "x": lambda: CoordinateObservable(0),
+    "y": lambda: CoordinateObservable(1),
+}
+
 
 @dataclass
 class RunConfig:
     map_name: str = "standard-map"
     k: float = 0.7
-    observable: str = "embedding"   # embedding | identity | x | y
+    observable: str = "embedding"   # a key of OBSERVABLES
     params: ClassifyParams = field(default_factory=ClassifyParams)
     k_values: list = field(default_factory=list)  # converge: half-lengths to sweep
     n_samples: int = 10000                         # average: orbit length
@@ -41,7 +50,7 @@ class RunConfig:
             raise ConfigError("seed coordinates must be finite")
         if self.map_name != "standard-map":
             raise ConfigError(f"unknown map {self.map_name!r}")
-        if self.observable not in ("embedding", "identity", "x", "y"):
+        if self.observable not in OBSERVABLES:
             raise ConfigError(f"unknown observable {self.observable!r}")
         if self.params.escape_bound < 1:  # it bounds every coordinate, and x spans [0, 1)
             raise ConfigError(f"escape_bound must be >= 1, got {self.params.escape_bound}")

@@ -6,27 +6,22 @@ class ContractViolation(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """A dense linear-algebra routine failed to converge.
-
-    ``detail`` carries whatever convergence information the backend
-    reported (typically the index below which eigenvalues did converge).
-    """
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail
+    """A dense linear-algebra routine failed to converge."""
 
 
 class OrbitEscape(RuntimeError):
     """Trajectory sampling hit a non-finite or out-of-bounds state.
 
     ``step`` is the iteration index at which the orbit left the allowed
-    region.
+    region, and ``evaluations`` the number of map evaluations made: past
+    ``step`` when the sampler stepped a whole extension before finding a
+    non-finite observable in it.
     """
 
-    def __init__(self, message, step):
+    def __init__(self, message, step, evaluations):
         super().__init__(message)
         self.step = step
+        self.evaluations = evaluations
 
 
 class DegenerateFrequency(ValueError):

@@ -40,9 +40,6 @@ class Trajectory:
     def dimension(self):
         return self.samples.shape[1]
 
-    def __len__(self):
-        return self.samples.shape[0]
-
 
 class DynamicalMap:
     """Interface: a deterministic discrete-time map on R^n."""
@@ -145,10 +142,11 @@ class TrajectorySource:
     those already drawn, so ``samples_drawn`` - 1 map evaluations were
     made.  The samples live in one buffer that doubles when a take
     outgrows it; a returned trajectory views rows no later take writes.
-    ``take`` raises OrbitEscape (with the offending step index) if the
-    state becomes non-finite or any coordinate exceeds ``escape_bound``,
-    or if the observable is non-finite; unbounded drift otherwise
-    poisons the downstream linear algebra.
+    ``take`` raises OrbitEscape (with the offending step index and the
+    map evaluations made) if the state becomes non-finite or any
+    coordinate exceeds ``escape_bound``, or if the observable is
+    non-finite; unbounded drift otherwise poisons the downstream linear
+    algebra.
     """
 
     def __init__(self, dynamical_map, observable, x0, escape_bound=DEFAULT_ESCAPE_BOUND):
@@ -162,33 +160,34 @@ class TrajectorySource:
     def take(self, n):
         if n < 1:
             raise ContractViolation(f"need n >= 1, got {n}")
-        if n <= self.samples_drawn:
-            return Trajectory(self._buffer[:n])
         have, point = self.samples_drawn, self._state
+        if n <= have:
+            return Trajectory(self._buffer[:n])
         if have == 0:
-            first = np.array(self.observable.evaluate(point), dtype=float, ndmin=2)
-            if not np.all(np.isfinite(first)):
-                raise OrbitEscape("observable non-finite at step 0", step=0)
-            self._buffer, have = first, 1
+            self._buffer = np.array(self.observable.evaluate(point), dtype=float, ndmin=2)
+        filled = max(have, 1)  # buffer rows holding samples
         if n > self._buffer.shape[0]:
             grown = np.empty((max(n, 2 * self._buffer.shape[0]), self._buffer.shape[1]))
-            grown[:have] = self._buffer[:have]
+            grown[:filled] = self._buffer[:filled]
             self._buffer = grown
         out, bound = self._buffer, self.escape_bound
         step, evaluate = self.dynamical_map.step, self.observable.evaluate
-        for i in range(have, n):
+        for i in range(filled, n):
             point = step(point)
             # scalar checks on the coordinates: numpy reductions on a 2-vector
             # cost more than the map step itself
             coords = point.tolist() if isinstance(point, np.ndarray) else point
             for c in coords:
                 if not (math.isfinite(c) and abs(c) <= bound):
-                    raise OrbitEscape(f"orbit escaped at step {i}", step=i)
+                    raise OrbitEscape(f"orbit escaped at step {i}", step=i, evaluations=i)
             out[i] = evaluate(point)
+        # one scan of the rows this take drew, the first sample among them;
+        # the whole extension was stepped, so n - 1 map evaluations were made
         bad = np.flatnonzero(~np.all(np.isfinite(out[have:n]), axis=1))
         if bad.size:
             first_bad = have + int(bad[0])
-            raise OrbitEscape(f"observable non-finite at step {first_bad}", step=first_bad)
+            raise OrbitEscape(f"observable non-finite at step {first_bad}", step=first_bad,
+                              evaluations=n - 1)
         self._state, self.samples_drawn = point, n
         return Trajectory(out[:n])
 

@@ -78,4 +78,4 @@ def real_eigenvalues(m):
     try:
         return scipy.linalg.eigvals(m, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise SolverFailure(f"eigenvalue iteration failed: {exc}", detail=str(exc)) from exc
+        raise SolverFailure(f"eigenvalue iteration failed: {exc}") from exc

@@ -284,10 +284,6 @@ class AdaptiveResult:
     converged: bool
     history: list = field(default_factory=list)  # (K, n_samples, R, R_G)
 
-    @property
-    def n_samples(self):
-        return self.history[-1][1] if self.history else 0
-
 
 def adaptive_solve(source, params):
     """Grow the filter length until the scale-free residual R_G crosses ``delta_adapt``.

@@ -290,8 +290,6 @@ class Classification:
     tag: str
     period: int = None
     rotation: float = None
-    solution: object = None
-    ranking: object = None
     fit_trajectory: object = None
     diagnostics: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
@@ -329,7 +327,7 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     except OrbitEscape as exc:
         return Classification(
             tag="chaotic",
-            diagnostics={"escape_step": exc.step, "N": exc.step + 1},  # exc.step map evaluations
+            diagnostics={"escape_step": exc.step, "N": exc.evaluations + 1},  # samples, as below
             flags=["escape"],
         )
     solution = result.solution
@@ -344,24 +342,22 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         "adaptive_converged": result.converged,
         "history": result.history,
     }
-    traj = source.take(result.n_samples)
+    traj = source.take(source.samples_drawn)
     if solution.fixed_point:
         return Classification(
-            tag="integrable", period=1, rotation=0.0, solution=solution,
-            ranking=None, fit_trajectory=traj, diagnostics=diag,
-            flags=["fixed_point"],
+            tag="integrable", period=1, rotation=0.0, fit_trajectory=traj,
+            diagnostics=diag, flags=["fixed_point"],
         )
     # adaptive_solve converges only on a gate value <= delta_adapt, so a
     # nan residual fails closed to chaotic
     if not result.converged:
-        return Classification(tag="chaotic", solution=solution, diagnostics=diag)
+        return Classification(tag="chaotic", diagnostics=diag)
     roots = unit_circle_filter(palindromic_roots(solution.coefficients))
     diag["n_unit_roots"] = len(roots)
     diag["n_low_confidence_roots"] = int(np.count_nonzero(roots.low_confidence))
     if len(roots) == 0:
         return Classification(
-            tag="indeterminate", solution=solution, diagnostics=diag,
-            flags=["no_unit_circle_roots"],
+            tag="indeterminate", diagnostics=diag, flags=["no_unit_circle_roots"],
         )
     ranking = mode_prominence(roots, traj)
     period = island_period(ranking[:ISLAND_TEST_MODES], params)
@@ -371,8 +367,8 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         shape = stacked_shape(traj.length, traj.dimension, solution.half_length // period)
         if shape is None:
             return Classification(
-                tag="indeterminate", period=period, solution=solution, ranking=ranking,
-                diagnostics=diag, flags=["stacked_signal_too_short"],
+                tag="indeterminate", period=period, diagnostics=diag,
+                flags=["stacked_signal_too_short"],
             )
         solution = solve_from_trajectory(traj, *shape, params.epsilon)
         diag["stacked"] = {
@@ -383,15 +379,13 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         if solution.fixed_point:
             # a periodic orbit: each island component is a single point
             return Classification(
-                tag="integrable", period=period, rotation=0.0,
-                solution=solution, ranking=ranking, fit_trajectory=traj,
+                tag="integrable", period=period, rotation=0.0, fit_trajectory=traj,
                 diagnostics=diag, flags=["periodic_orbit"],
             )
         roots = unit_circle_filter(palindromic_roots(solution.coefficients))
         if len(roots) == 0:
             return Classification(
-                tag="indeterminate", period=period, solution=solution,
-                ranking=ranking, diagnostics=diag,
+                tag="indeterminate", period=period, diagnostics=diag,
                 flags=["no_unit_circle_roots_stacked"],
             )
         ranking = mode_prominence(roots, traj)
@@ -409,6 +403,6 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         if residual_rational is not None:
             flags.append(f"stacked_rational:{residual_rational[0]}/{residual_rational[1]}")
     return Classification(
-        tag="integrable", period=period, rotation=rotation, solution=solution,
-        ranking=ranking, fit_trajectory=traj, diagnostics=diag, flags=flags,
+        tag="integrable", period=period, rotation=rotation, fit_trajectory=traj,
+        diagnostics=diag, flags=flags,
     )

@@ -13,7 +13,7 @@ import scipy.optimize
 
 from birkhoff_rre.birkhoff import bump_weights
 from birkhoff_rre.errors import ContractViolation
-from birkhoff_rre.maps import Trajectory
+from birkhoff_rre.maps import DynamicalMap, Observable, Trajectory
 from birkhoff_rre.numerics import complex_least_squares_solve
 from birkhoff_rre.oracle import _conjugate_pair_factor
 
@@ -67,6 +67,27 @@ def complex_mode_fit(nodes, samples):
     powers = nodes[None, :] ** np.arange(n)[:, None]
     sqrt_w = np.sqrt(bump_weights(n))[:, None]
     return complex_least_squares_solve(sqrt_w * powers, sqrt_w * samples)
+
+
+class CounterMap(DynamicalMap):
+    """(x, y) -> (x + 1, y + 1): sample t of the orbit of (0, 0) is (t, t)."""
+
+    state_dimension = 2
+
+    def step(self, point):
+        return np.asarray(point, dtype=float) + 1.0
+
+
+class NanFromObservable(Observable):
+    """x, or nan once x >= ``threshold`` (D = 1)."""
+
+    output_dimension = 1
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+
+    def evaluate(self, point):
+        return np.array((point[0] if point[0] < self.threshold else math.nan,))
 
 
 def standard_map_inverse_step(x, y, k):

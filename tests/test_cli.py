@@ -1,3 +1,4 @@
+import ast
 import configparser
 import importlib.util
 import io
@@ -20,6 +21,7 @@ from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
 from birkhoff_rre.maps import DynamicalMap
 from birkhoff_rre.spectral import ClassifyParams
+from checks import CounterMap, NanFromObservable
 
 
 def write_config(path, body):
@@ -285,6 +287,35 @@ class TestConfig:
         for owner, attr in targets:
             assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
+    def test_every_definition_is_named_elsewhere(self):
+        # no helper that nothing calls: every module-level function and class
+        # of the package, and every non-dunder method, is named in a package
+        # module other than __init__.py or in the benchmark probe, which looks
+        # functions up by their names as strings
+        def names_in(tree):
+            return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                    | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                    | {node.value for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+        root = Path(__file__).parents[1]
+        used = names_in(ast.parse((root / "perfbench" / "probe.py").read_text()))
+        defined = []
+        for path in sorted((root / "src" / "birkhoff_rre").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            if path.name != "__init__.py":
+                used |= names_in(tree)
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((path.stem, node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined += [(f"{path.stem}.{node.name}", item.name) for item in node.body
+                                if isinstance(item, ast.FunctionDef)
+                                and not (item.name.startswith("__") and item.name.endswith("__"))]
+        assert len(defined) > 90
+        unused = [f"{owner}.{name}" for owner, name in defined if name not in used]
+        assert not unused, f"named nowhere: {unused}"
+
 
 class TestClassifySeed:
     @pytest.mark.parametrize("flag, tag, k, observable, seed, overrides", FLAG_CASES,
@@ -307,6 +338,16 @@ class TestClassifySeed:
         assert (row["class"], row["flags"]) == ("chaotic", "escape")
         assert row["N"] == "215"
         assert payload is None
+
+    def test_escape_row_counts_evaluations_past_a_bad_observable(self, monkeypatch):
+        # the observable turns nan at x = 100, inside the K = 50 rung (D = 1:
+        # 251 samples), and the whole rung was stepped: 250 map evaluations
+        monkeypatch.setattr(cli, "build_map", lambda cfg: CounterMap())
+        monkeypatch.setattr(cli, "build_observable", lambda cfg: NanFromObservable(100.0))
+        seed = (0.0, 0.0)
+        row, _ = classify_seed(RunConfig(seeds=[seed]), seed)
+        assert (row["class"], row["flags"]) == ("chaotic", "escape")
+        assert row["N"] == "250"
 
     def test_validation_failure_keeps_label(self, monkeypatch):
         # an advance that escapes makes validation_residual raise

@@ -16,7 +16,7 @@ from birkhoff_rre.maps import (
     sample_trajectory,
     standard_map_step,
 )
-from checks import standard_map_inverse_step
+from checks import CounterMap, NanFromObservable, standard_map_inverse_step
 
 finite_coords = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -172,6 +172,14 @@ class TestTrajectorySource:
         expected = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.2), 50)
         assert np.array_equal(t.samples, expected.samples)
         assert source.samples_drawn == 5000
+
+    def test_escape_at_first_sample(self):
+        # the observable is already nan at x0: step 0, and no sample is kept
+        source = TrajectorySource(CounterMap(), NanFromObservable(0.0), (0.0, 0.0))
+        with pytest.raises(OrbitEscape) as info:
+            source.take(5)
+        assert info.value.step == 0
+        assert source.samples_drawn == 0
 
 
 class TestTrajectory:

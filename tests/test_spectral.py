@@ -195,7 +195,7 @@ class TestModeProminence:
         source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.05, y))
         result = adaptive_solve(source, ClassifyParams())
         roots = unit_circle_filter(palindromic_roots(result.solution.coefficients)).roots
-        traj = source.take(result.n_samples)
+        traj = source.take(source.samples_drawn)
         ranking = mode_prominence(RootSet(roots, np.zeros(len(roots), dtype=bool)), traj)
         # one complex column per root, prominences summed per frequency
         add_constant = np.min(np.abs(roots - 1.0)) > 1e-9
