@@ -179,17 +179,24 @@ class TrajectorySource:
             coords = point.tolist() if isinstance(point, np.ndarray) else point
             for c in coords:
                 if not (math.isfinite(c) and abs(c) <= bound):
+                    # an earlier non-finite observable in this take escaped first
+                    _raise_observable_escape(out, have, i, evaluations=i)
                     raise OrbitEscape(f"orbit escaped at step {i}", step=i, evaluations=i)
             out[i] = evaluate(point)
         # one scan of the rows this take drew, the first sample among them;
         # the whole extension was stepped, so n - 1 map evaluations were made
-        bad = np.flatnonzero(~np.all(np.isfinite(out[have:n]), axis=1))
-        if bad.size:
-            first_bad = have + int(bad[0])
-            raise OrbitEscape(f"observable non-finite at step {first_bad}", step=first_bad,
-                              evaluations=n - 1)
+        _raise_observable_escape(out, have, n, evaluations=n - 1)
         self._state, self.samples_drawn = point, n
         return Trajectory(out[:n])
+
+
+def _raise_observable_escape(samples, start, stop, evaluations):
+    """Raise OrbitEscape at the first non-finite row of ``samples[start:stop]``, if any."""
+    bad = np.flatnonzero(~np.all(np.isfinite(samples[start:stop]), axis=1))
+    if bad.size:
+        first_bad = start + int(bad[0])
+        raise OrbitEscape(f"observable non-finite at step {first_bad}", step=first_bad,
+                          evaluations=evaluations)
 
 
 def sample_trajectory(dynamical_map, observable, x0, n, escape_bound=DEFAULT_ESCAPE_BOUND):

@@ -46,6 +46,12 @@ from .numerics import least_squares_solve
 
 SQRT2 = math.sqrt(2.0)
 
+# The ladder's exit on chaos: from K = K_EXIT on, a rung whose R_G is still
+# above TAU_EXIT ends the sweep unconverged.  On 610 recorded seeds no
+# integrable or indeterminate row had R_G above 2.7e-7 at any K >= 150.
+K_EXIT = 150
+TAU_EXIT = 1e-5
+
 
 def difference_signal(trajectory):
     """u_t = a_{t+1} - a_t as an (N-1, D) array."""
@@ -283,6 +289,7 @@ class AdaptiveResult:
     solution: FilterSolution
     converged: bool
     history: list = field(default_factory=list)  # (K, n_samples, R, R_G)
+    stalled: bool = False  # stopped by the K_EXIT / TAU_EXIT rule
 
 
 def adaptive_solve(source, params):
@@ -290,9 +297,12 @@ def adaptive_solve(source, params):
 
     Runs ``solve_at`` for K = k_init, k_init + delta_k, ... while K <=
     k_max, reusing previously sampled orbit points (each step extends,
-    never restarts, the trajectory).  ``params`` is a ClassifyParams,
-    whose construction has range-checked every value used here.  Returns
-    the last solution with the per-step history.
+    never restarts, the trajectory).  The sweep stops unconverged and
+    ``stalled`` at the first rung with K >= K_EXIT and R_G > TAU_EXIT: the
+    residual has stalled, as it does on chaos.  A nan R_G meets neither
+    test and climbs on.  ``params`` is a ClassifyParams, whose
+    construction has range-checked every value used here.  Returns the
+    last solution with the per-step history.
     """
     history = []
     for k in range(params.k_init, params.k_max + 1, params.delta_k):
@@ -301,4 +311,7 @@ def adaptive_solve(source, params):
         history.append((k, traj.length, solution.residual, r_g))
         if r_g <= params.delta_adapt:
             return AdaptiveResult(solution=solution, converged=True, history=history)
+        if k >= K_EXIT and r_g > TAU_EXIT:
+            return AdaptiveResult(solution=solution, converged=False, history=history,
+                                  stalled=True)
     return AdaptiveResult(solution=solution, converged=False, history=history)

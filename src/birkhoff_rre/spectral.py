@@ -351,7 +351,8 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     # adaptive_solve converges only on a gate value <= delta_adapt, so a
     # nan residual fails closed to chaotic
     if not result.converged:
-        return Classification(tag="chaotic", diagnostics=diag)
+        return Classification(tag="chaotic", diagnostics=diag,
+                              flags=["stalled"] if result.stalled else [])
     roots = unit_circle_filter(palindromic_roots(solution.coefficients))
     diag["n_unit_roots"] = len(roots)
     diag["n_low_confidence_roots"] = int(np.count_nonzero(roots.low_confidence))

@@ -126,6 +126,7 @@ FLAG_CASES = [
     ("stacked_rational:17/47", "integrable", 1.2, "identity", (0.05, 6 * (0.6 / 39)), {}),
     ("observable_space_validation", "integrable", 0.7, "embedding", (0.05, 0.1), {}),
     ("fit_failed:NotImplementedError", "integrable", 0.7, "y", (0.05, 0.1), {}),
+    ("stalled", "chaotic", 2.0, "embedding", (0.5, 0.0), {}),
 ]
 
 
@@ -337,6 +338,15 @@ class TestClassifySeed:
         row, payload = classify_seed(cfg, seed)
         assert (row["class"], row["flags"]) == ("chaotic", "escape")
         assert row["N"] == "215"
+        assert payload is None
+
+    def test_stalled_row_reports_the_stopping_rung(self):
+        # the first point of the k = 2.0 chaos line stops at K = 150, where
+        # T = 225 windows take 525 map evaluations
+        seed = (0.5, 0.0)
+        row, payload = classify_seed(RunConfig(k=2.0, seeds=[seed]), seed)
+        assert (row["class"], row["flags"]) == ("chaotic", "stalled")
+        assert (row["K"], row["N"]) == ("150", "525")
         assert payload is None
 
     def test_escape_row_counts_evaluations_past_a_bad_observable(self, monkeypatch):

@@ -181,6 +181,25 @@ class TestTrajectorySource:
         assert info.value.step == 0
         assert source.samples_drawn == 0
 
+    def test_observable_escape_before_coordinate_escape(self):
+        # the observable is nan from x = 100 and the coordinates leave the
+        # bound at step 151, in the same take: the earlier escape is reported,
+        # after the 151 map evaluations made
+        source = TrajectorySource(CounterMap(), NanFromObservable(100.0), (0.0, 0.0),
+                                  escape_bound=150.0)
+        with pytest.raises(OrbitEscape) as info:
+            source.take(251)
+        assert (info.value.step, info.value.evaluations) == (100, 151)
+
+    def test_nan_first_sample_before_coordinate_escape(self):
+        # nan at x0, coordinates past the bound at step 4: step 0 is reported
+        source = TrajectorySource(CounterMap(), NanFromObservable(0.0), (0.0, 0.0),
+                                  escape_bound=3.0)
+        with pytest.raises(OrbitEscape) as info:
+            source.take(10)
+        assert (info.value.step, info.value.evaluations) == (0, 4)
+        assert source.samples_drawn == 0
+
 
 class TestTrajectory:
     def test_scalar_samples_get_column_shape(self):

@@ -19,6 +19,8 @@ from birkhoff_rre.maps import (
     sample_trajectory,
 )
 from birkhoff_rre.rre import (
+    K_EXIT,
+    TAU_EXIT,
     adaptive_solve,
     build_problem,
     difference_signal,
@@ -287,6 +289,17 @@ class TestAdaptiveSolve:
         assert result.history[1][0] == 100 and result.history[1][2] <= params.delta_adapt
         assert gate_values[-1] <= params.delta_adapt
         assert all(value > params.delta_adapt for value in gate_values[:-1])
+
+    def test_chaos_seed_stops_at_k_exit(self):
+        # the first point of the k = 2.0 chaos line: R_G is 8.3e-4 at K = 150
+        source = TrajectorySource(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0))
+        result = adaptive_solve(source, ClassifyParams())
+        assert not result.converged and result.stalled
+        assert K_EXIT == 150
+        assert [entry[0] for entry in result.history] == [50, 100, 150]
+        assert result.history[-1][3] > TAU_EXIT
+        assert result.solution.half_length == K_EXIT
+        assert source.samples_drawn == 526  # T = 225, N = T + 2K + 1
 
     def test_default_run_configuration(self):
         params = ClassifyParams()

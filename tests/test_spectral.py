@@ -1,11 +1,12 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birkhoff_rre import rre
 from birkhoff_rre.errors import ContractViolation
 from birkhoff_rre.maps import (
     EmbeddingObservable,
@@ -372,6 +373,30 @@ class TestClassify:
         params.delta_adapt = math.nan
         cls = classify_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0), params)
         assert cls.tag == "chaotic"
+
+    def test_nan_residual_climbs_the_ladder_and_fails_closed(self, monkeypatch):
+        # a nan R_G is never above TAU_EXIT either: the ladder runs to k_max,
+        # past K_EXIT, and the row is chaotic without the stalled flag
+        solve_at = rre.solve_at
+
+        def nan_solve_at(source, half_length, params):
+            trajectory, solution = solve_at(source, half_length, params)
+            return trajectory, replace(solution, scale_free_residual=math.nan)
+
+        monkeypatch.setattr(rre, "solve_at", nan_solve_at)
+        params = ClassifyParams(k_max=200)
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.1), params)
+        assert cls.tag == "chaotic"
+        assert cls.flags == []
+        assert [entry[0] for entry in cls.diagnostics["history"]] == [50, 100, 150, 200]
+
+    def test_slow_converger_climbs_past_k_exit(self):
+        # R_G stays below 1.3e-8 on every rung until it converges at K = 500
+        # (default BLAS threads) or 550 (one thread)
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.2))
+        assert (cls.tag, cls.period, cls.flags) == ("integrable", 1, [])
+        assert cls.diagnostics["K"] >= 500
+        assert all(entry[3] <= rre.TAU_EXIT for entry in cls.diagnostics["history"])
 
     @pytest.mark.parametrize("name", ["delta_adapt", "eps_rat"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-8])
