@@ -6,7 +6,19 @@ the differenced observable sequence; the filter's residual is the
 classification statistic, its polynomial roots carry the island period
 and rotation number, and a weighted mode projection recovers the
 circle parameterizations.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``
+to 1 unless the caller has set them.  The BLAS libraries read them when
+numpy and scipy load, so the policy holds only where this package is
+imported first: the ``birkhoff-rre`` command always is.  One thread per
+process suits problems of at most a few thousand rows, and parallelism
+comes from the ``[output] workers`` processes, which inherit the setting.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -5,6 +5,11 @@ failures (or a failed figure2 check).  Output files are deterministic
 for a given configuration at a fixed BLAS thread count; the
 ``[output] workers`` count never changes their contents.  A different
 BLAS thread count can change trailing float digits.
+
+The command imports the package before numpy, so the package's thread
+policy applies: one BLAS thread per process unless the caller has set
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.  The workers are forked
+and inherit it, so parallelism comes from the worker count alone.
 """
 
 import argparse

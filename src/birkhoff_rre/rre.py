@@ -227,9 +227,10 @@ def solve_filter(problem):
     scaled = particular - (beta * (h[1:] @ x)) * h
     scaled[1:] += x
     d_vec = scale * scaled
-    # einsum, not BLAS gemv: right after the threaded QR, OpenBLAS's gemv
-    # on this tall matrix took 8 ms against 0.7 ms, and the whole solve
-    # 0.20 s against 0.11 s at K = 600 (2-core host, default threads)
+    # einsum, not a BLAS gemv, which sums in another order and would move
+    # the residual's trailing digits.  With two BLAS threads the gemv right
+    # after the threaded QR also stalled, 8 ms against 0.7 ms at K = 600 on
+    # a 2-core host; the package's default is one thread per process
     misfit = np.einsum("ij,j->i", top, d_vec)
     r_squared = float(misfit @ misfit) + eps * float(scaled @ scaled)
     # weighted energy of the first T difference vectors (Hankel column 0)

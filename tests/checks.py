@@ -69,6 +69,29 @@ def complex_mode_fit(nodes, samples):
     return complex_least_squares_solve(sqrt_w * powers, sqrt_w * samples)
 
 
+def projection_prominences(nodes, samples):
+    """Weighted projection amplitude of ``samples`` at each node, by a loop.
+
+    The reference for ``spectral.mode_prominence``: the mean m = sum_t w_t
+    a_t, then for each node z the sum S_z = sum_t w_t (a_t - m) conj(z)^t
+    accumulated one sample at a time, with conj(z)^t carried by repeated
+    multiplication.  A node within 1e-9 of 1 gets |m|, a node on the real
+    axis |S_z| and any other 2 |S_z|.
+    """
+    w = bump_weights(samples.shape[0])
+    mean = np.zeros(samples.shape[1])
+    for w_t, a_t in zip(w, samples):
+        mean += w_t * a_t
+    step = np.conj(nodes)
+    power = np.ones(nodes.shape[0], dtype=complex)
+    sums = np.zeros((nodes.shape[0], samples.shape[1]), dtype=complex)
+    for w_t, a_t in zip(w, samples):
+        sums += w_t * power[:, None] * (a_t - mean)[None, :]
+        power *= step
+    amplitudes = np.where(nodes.imag == 0, 1.0, 2.0) * np.linalg.norm(sums, axis=1)
+    return np.where(np.abs(nodes - 1.0) <= 1e-9, np.linalg.norm(mean), amplitudes)
+
+
 class CounterMap(DynamicalMap):
     """(x, y) -> (x + 1, y + 1): sample t of the orbit of (0, 0) is (t, t)."""
 

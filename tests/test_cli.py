@@ -3,6 +3,7 @@ import configparser
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ from birkhoff_rre.cli import _circle_json, classify_seed, figure2_errors, main
 from birkhoff_rre.config import RunConfig, load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
-from birkhoff_rre.maps import DynamicalMap
+from birkhoff_rre.maps import DynamicalMap, Observable
 from birkhoff_rre.spectral import ClassifyParams
 from checks import CounterMap, NanFromObservable
 
@@ -111,19 +112,50 @@ class DriftMap(DynamicalMap):
         return np.asarray(point, dtype=float) + (0.0, 1.0)
 
 
+class TorusRotation(DynamicalMap):
+    """(x, y) -> (x + 1/2, y + 17/94) mod 1.
+
+    The orbit carries the frequency 1/2, an island chain of period 2, and
+    17/94, whose denominator is above the default p_max = 50.  Every
+    second step moves y by 17/47, so the stacked signal's rotation is
+    rational.
+    """
+
+    state_dimension = 2
+
+    def step(self, point):
+        return np.array(((point[0] + 0.5) % 1.0, (point[1] + 17.0 / 94.0) % 1.0))
+
+
+class TorusObservable(Observable):
+    """(x, y) -> (cos 2pi x, sin 2pi x, cos 2pi y / 2, sin 2pi y / 2), invertible."""
+
+    output_dimension = 4
+
+    def evaluate(self, point):
+        x, y = 2.0 * math.pi * point[0], 2.0 * math.pi * point[1]
+        return np.array((math.cos(x), math.sin(x), 0.5 * math.cos(y), 0.5 * math.sin(y)))
+
+    def invert(self, value):
+        return np.array([(math.atan2(s, c) / (2.0 * math.pi)) % 1.0
+                         for c, s in (value[:2], value[2:])])
+
+
 # (flag, class, k, observable, seed, ClassifyParams overrides): each case
-# reaches its flag through classify_seed; k = None runs HalvingMap
+# reaches its flag through classify_seed; a DynamicalMap in place of k, or
+# an Observable in place of the observable name, is patched into cli
 FLAG_CASES = [
     ("fixed_point", "integrable", 0.7, "embedding", (0.0, 0.0), {}),
     ("escape", "chaotic", 2.0, "embedding", (0.5, 0.0), {"escape_bound": 2.0}),
     ("periodic_orbit", "integrable", 0.7, "embedding", (0.0, 0.5), {}),
-    ("no_unit_circle_roots", "indeterminate", None, "identity", (0.3, 0.2),
+    ("no_unit_circle_roots", "indeterminate", HalvingMap(), "identity", (0.3, 0.2),
      {"k_init": 1, "k_max": 1, "delta_k": 1}),
     ("no_unit_circle_roots_stacked", "indeterminate", 0.5, "identity",
      (0.05, 32 * (0.6 / 39)), {}),
     ("stacked_signal_too_short", "indeterminate", 0.7, "embedding",
      (0.05, 0.042424242424242427), {"eps_rat": 1e-4}),
-    ("stacked_rational:17/47", "integrable", 1.2, "identity", (0.05, 6 * (0.6 / 39)), {}),
+    ("stacked_rational:17/47", "integrable", TorusRotation(), TorusObservable(), (0.1, 0.2),
+     {}),
     ("observable_space_validation", "integrable", 0.7, "embedding", (0.05, 0.1), {}),
     ("fit_failed:NotImplementedError", "integrable", 0.7, "y", (0.05, 0.1), {}),
     ("stalled", "chaotic", 2.0, "embedding", (0.5, 0.0), {}),
@@ -322,10 +354,14 @@ class TestClassifySeed:
     @pytest.mark.parametrize("flag, tag, k, observable, seed, overrides", FLAG_CASES,
                              ids=[flag_name(case[0]) for case in FLAG_CASES])
     def test_flag_reached(self, monkeypatch, flag, tag, k, observable, seed, overrides):
-        if k is None:
-            monkeypatch.setattr(cli, "build_map", lambda cfg: HalvingMap())
-        cfg = RunConfig(k=0.7 if k is None else k, observable=observable,
-                        params=ClassifyParams(**overrides), seeds=[seed])
+        if isinstance(k, DynamicalMap):
+            monkeypatch.setattr(cli, "build_map", lambda cfg, dmap=k: dmap)
+            k = 0.7
+        if isinstance(observable, Observable):
+            monkeypatch.setattr(cli, "build_observable", lambda cfg, obs=observable: obs)
+            observable = "embedding"
+        cfg = RunConfig(k=k, observable=observable, params=ClassifyParams(**overrides),
+                        seeds=[seed])
         row, _ = classify_seed(cfg, seed)
         assert flag in row["flags"].split("|")
         assert row["class"] == tag
@@ -658,3 +694,50 @@ def test_readme_library_example():
     labels, residual = done.stdout.splitlines()
     assert labels.startswith("integrable 2 0.11274")
     assert float(residual) < 1e-8
+
+
+def package_env(**preset):
+    """The caller's environment with ``src`` on the path, neither BLAS
+    thread variable set, and ``preset`` added."""
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(preset)
+    return env
+
+
+class TestThreadPolicy:
+    READ_BACK = ("import birkhoff_rre, os; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
+
+    def read_back(self, env):
+        done = subprocess.run([sys.executable, "-c", self.READ_BACK], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return done.stdout.split()
+
+    def test_import_sets_one_thread(self):
+        assert self.read_back(package_env()) == ["1", "1"]
+
+    def test_caller_setting_kept(self):
+        assert self.read_back(package_env(OPENBLAS_NUM_THREADS="3")) == ["3", "1"]
+
+    def test_command_output_identical_across_worker_counts(self, tmp_path):
+        # a circle, the period-3 chain at K = 300 and a stalled chaotic seed,
+        # classified by the command as shipped, at one and at two workers
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            body = BASE.format(table=out / "t.csv").replace("k_max = 200", "k_max = 600")
+            body = body.replace("seeds = 0.0 0.0; 0.1 0.0; 0.5 0.05",
+                                f"seeds = 0.05 {10 * (0.6 / 99)!r}; 0.05 {60 * (0.6 / 99)!r};"
+                                " 0.5 0.05")
+            body += f"circles = {out / 'circles'}\nworkers = {workers}\n"
+            cfg = write_config(tmp_path / f"w{workers}.ini", body)
+            subprocess.run([sys.executable, "-m", "birkhoff_rre.cli", "classify", cfg],
+                           env=package_env(), capture_output=True, timeout=300, check=True)
+            files = sorted(p for p in out.rglob("*") if p.is_file())
+            outputs.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert len(outputs[0]) == 3  # the table and two circles
+        assert outputs[0] == outputs[1]

@@ -231,12 +231,16 @@ class TestAdaptiveSolve:
         assert result.solution.half_length == 10
         assert len(result.history) == 1
 
-    def test_chaotic_seed_runs_to_k_max(self):
+    def test_chaotic_seed_stops_stalled_before_k_max(self):
+        # R_G is still above TAU_EXIT at K = 150, so the ladder stops there
         source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.5, 0.05))
         result = adaptive_solve(source, ClassifyParams(gamma=2, delta_adapt=1e-10,
                                                        k_init=50, k_max=200, delta_k=50))
         assert not result.converged
-        assert result.solution.scale_free_residual > 1e-10
+        assert result.stalled
+        assert [rung[0] for rung in result.history] == [50, 100, 150]
+        assert result.solution.half_length == 150
+        assert result.solution.scale_free_residual > TAU_EXIT
         # cross-check with the long doubling residual: genuinely chaotic
         long = sample_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                  (0.5, 0.05), 20_000)

@@ -32,7 +32,12 @@ from birkhoff_rre.spectral import (
     stack_signal,
     unit_circle_filter,
 )
-from checks import GOLDEN, complex_mode_fit, continued_fraction_convergents, pair_distance
+from checks import (
+    GOLDEN,
+    continued_fraction_convergents,
+    pair_distance,
+    projection_prominences,
+)
 from test_cli import BAD_VALUES
 
 # the BAD_VALUES rows that set a ClassifyParams field, as (key, raw value)
@@ -192,18 +197,16 @@ class TestModeProminence:
 
     # a circle at K = 50 and the period-3 chain at K = 300 on the k = 0.7 line
     @pytest.mark.parametrize("y", [10 * (0.6 / 99), 60 * (0.6 / 99)])
-    def test_matches_complex_reference(self, y):
+    def test_matches_projection_reference(self, y):
         source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.05, y))
         result = adaptive_solve(source, ClassifyParams())
         roots = unit_circle_filter(palindromic_roots(result.solution.coefficients)).roots
         traj = source.take(source.samples_drawn)
         ranking = mode_prominence(RootSet(roots, np.zeros(len(roots), dtype=bool)), traj)
-        # one complex column per root, prominences summed per frequency
-        add_constant = np.min(np.abs(roots - 1.0)) > 1e-9
-        columns = np.concatenate([[1.0], roots]) if add_constant else roots
-        v, _ = complex_mode_fit(columns, traj.samples)
+        # one node per conjugate pair, prominences summed per frequency
+        nodes = roots[~np.signbit(roots.imag)]
         summed = {}
-        for z, p in zip(roots, np.linalg.norm(v, axis=1)[int(add_constant):]):
+        for z, p in zip(nodes, projection_prominences(nodes, traj.samples)):
             key = round(canonical_frequency(z) / 1e-9)
             summed[key] = summed.get(key, 0.0) + p
         expected = sorted(summed, key=lambda key: -summed[key])
