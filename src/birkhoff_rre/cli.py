@@ -51,67 +51,61 @@ def _fmt(value):
 
 
 def classify_seed(cfg, seed):
-    """Classify one seed; returns (row dict, circle payload or None).
+    """Classify one seed; returns (row, circle).
 
+    ``row`` maps each CSV column to its value, None where the cell is
+    empty; _write_table formats it.  ``circle`` is the validated
+    FourierCircle, or None; run_classify writes it out with _circle_json.
     Never raises: failures come back as class="error" rows so a batch
-    is never aborted by one seed.  The payload's ``coefficients`` stay an
-    array until run_classify writes them.
+    is never aborted by one seed.
     """
-    row = {key: "" for key in CSV_COLUMNS}
-    row["seed_x"], row["seed_y"] = _fmt(float(seed[0])), _fmt(float(seed[1]))
+    row = dict.fromkeys(CSV_COLUMNS)
+    row["seed_x"], row["seed_y"] = float(seed[0]), float(seed[1])
     try:
         dmap, obs = build_map(cfg), build_observable(cfg)
         cls = classify_trajectory(dmap, obs, seed, cfg.params)
-        row["class"] = cls.tag
         diag = cls.diagnostics
-        row["R"] = _fmt(diag.get("R"))
-        row["R_G"] = _fmt(diag.get("R_G"))
-        row["K"] = _fmt(diag.get("K"))
-        row["N"] = _fmt(diag["N"] - 1)  # N samples, so N - 1 map evaluations
+        row.update({"class": cls.tag, "period": cls.period, "R": diag.get("R"),
+                    "R_G": diag.get("R_G"), "K": diag.get("K"),
+                    "N": diag["N"] - 1})  # N samples, so N - 1 map evaluations
         flags = list(cls.flags)
-        circle_payload = None
-        row["period"] = _fmt(cls.period)
+        circle = None
         if cls.tag == "integrable":
-            row["rotation"] = _fmt(cls.rotation)
+            row["rotation"] = cls.rotation
             try:
-                circle = fit_circle(cls)
+                fitted = fit_circle(cls)
                 advance, substituted = make_observable_advance(dmap, obs)
-                r_p = validation_residual(circle, advance)
-                row["R_p"] = _fmt(r_p)
+                row["R_p"] = validation_residual(fitted, advance)
                 if substituted:
                     flags.append("observable_space_validation")
-                circle_payload = _circle_json(seed, cls, circle, r_p, flags)
+                circle = fitted
             except (ValueError, OrbitEscape, NotImplementedError, ValidationFailure) as exc:
                 flags.append(f"fit_failed:{type(exc).__name__}")
         row["flags"] = "|".join(flags)
-        return row, circle_payload
+        return row, circle
     except Exception as exc:  # per-seed failures are recorded, not raised
         # an error row keeps only its seed: nothing computed before the failure stands
-        error_row = dict.fromkeys(CSV_COLUMNS, "")
+        error_row = dict.fromkeys(CSV_COLUMNS)
         error_row.update({"seed_x": row["seed_x"], "seed_y": row["seed_y"], "class": "error",
                           "flags": f"{type(exc).__name__}:{exc}"})
         return error_row, None
 
 
-def _circle_json(seed, cls, circle, r_p, flags):
-    # coeffs[block][mode][component] = [real, imag], an array until
-    # run_classify writes it: building its p(2L+1)(D+1) lists per seed would
-    # set off garbage collections inside the seed's time
+def _circle_json(row, circle):
+    """The JSON payload of a validated circle and the row it belongs to."""
+    # coeffs[block][mode][component] = [real, imag]
     pairs = np.stack([circle.coefficients.real, circle.coefficients.imag], -1)
     shape = (2 * circle.num_modes + 1, circle.period, circle.dimension, 2)
     coeffs = pairs.reshape(shape).swapaxes(0, 1)
     return {
-        "seed": [float(seed[0]), float(seed[1])],
+        "seed": [row["seed_x"], row["seed_y"]],
         "period": int(circle.period),
         "rotation": float(circle.rotation),
         "L": int(circle.num_modes),
-        "coefficients": coeffs,
-        "residuals": {
-            "R": float(cls.diagnostics["R"]),
-            "R_G": float(cls.diagnostics["R_G"]),
-            "R_p": float(r_p),
-        },
-        "flags": list(flags),
+        "coefficients": coeffs.tolist(),
+        "residuals": {"R": float(row["R"]), "R_G": float(row["R_G"]),
+                      "R_p": float(row["R_p"])},
+        "flags": row["flags"].split("|") if row["flags"] else [],
     }
 
 
@@ -125,7 +119,7 @@ def _write_table(path, rows):
         handle.write(f"# birkhoff-rre {__version__}\n")
         handle.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            handle.write(",".join(row[col] for col in CSV_COLUMNS) + "\n")
+            handle.write(",".join(_fmt(row[col]) for col in CSV_COLUMNS) + "\n")
 
 
 def run_classify(cfg, out=None):
@@ -144,13 +138,12 @@ def run_classify(cfg, out=None):
     _write_table(cfg.table, rows)
     if cfg.circles:
         os.makedirs(cfg.circles, exist_ok=True)
-        for index, (_, payload) in enumerate(results):
-            if payload is None:
+        for index, (row, circle) in enumerate(results):
+            if circle is None:
                 continue
             path = os.path.join(cfg.circles, f"circle_{index:04d}.json")
-            payload["coefficients"] = payload["coefficients"].tolist()
             with open(path, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
+                json.dump(_circle_json(row, circle), handle, indent=1, sort_keys=True)
     failures = sum(1 for row in rows if row["class"] == "error")
     print(f"classified {len(rows)} seeds -> {cfg.table}"
           + (f" ({failures} failures)" if failures else ""), file=out)

@@ -10,11 +10,14 @@ next (and the last onto the rotated first) on a uniform grid.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation, ValidationFailure
+from .maps import (EmbeddingObservable, IdentityObservable, StandardMap,
+                   standard_embedding_advance)
 from .numerics import least_squares_solve
 
 GAMMA_MAX = 0.5        # choose_num_modes keeps gamma_L below this
@@ -58,7 +61,7 @@ def _gamma_sums(window, omega, terms):
         yield acc
 
 
-def choose_num_modes(window, omega):
+def choose_num_modes(window, omega, *, with_gamma=False):
     """Largest L whose projection stays provably well conditioned.
 
     The normal matrix of the mode projection is Toeplitz with entries
@@ -66,25 +69,28 @@ def choose_num_modes(window, omega):
     gamma_L = sum_{n=1}^{2L} |eta_n| < GAMMA_MAX bounds its condition
     number by sqrt((1+2 gamma_L)/(1-2 gamma_L)).  Returns L >= 0
     (L = 0 is a mean-only fit), capped so 2L+1 never exceeds the
-    sample count.
+    sample count.  With ``with_gamma``, returns (L, gamma_L), gamma_0 = 0,
+    so condition_bound need not sum the same terms again.
     """
     if window < 2:
         raise ContractViolation(f"need window >= 2, got {window}")
-    best = 0
+    best, best_gamma = 0, 0.0
     for n, gamma in enumerate(_gamma_sums(window, omega, 2 * ((window - 1) // 2)), 1):
         if gamma >= GAMMA_MAX:
             break
         if n % 2 == 0:
-            best = n // 2
-    return best
+            best, best_gamma = n // 2, gamma
+    return (best, best_gamma) if with_gamma else best
 
 
-def condition_bound(window, omega, num_modes):
+def condition_bound(window, omega, num_modes, gamma=None):
     """Gershgorin bound sqrt((1+2g)/(1-2g)) for the projection at L.
 
-    Returns inf when 2g >= 1, where the bound says nothing.
+    ``gamma``, when given, is gamma_L from choose_num_modes; otherwise it
+    is summed here.  Returns inf when 2g >= 1, where the bound says nothing.
     """
-    gamma = max(_gamma_sums(window, omega, 2 * num_modes), default=0.0)  # sums only grow
+    if gamma is None:
+        gamma = max(_gamma_sums(window, omega, 2 * num_modes), default=0.0)  # sums only grow
     if 2.0 * gamma >= 1.0:
         return math.inf
     return math.sqrt((1.0 + 2.0 * gamma) / (1.0 - 2.0 * gamma))
@@ -115,14 +121,15 @@ def weighted_mode_fit(nodes, samples):
     return v
 
 
-def project_circle(trajectory, omega, num_modes, period=1):
+def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
     """Weighted least-squares Fourier coefficients of the trajectory.
 
     The modes are lambda_l^m with lambda_l = e^{2 pi i omega l} for
     |l| <= L, and rows carry the bump weights of the full sample length.
     The fit is real (weighted_mode_fit on l = 0..L), and V_{-l} =
     conj(V_l) is set from it.  For period > 1 the trajectory must already
-    be the stacked signal (dimension period * D).
+    be the stacked signal (dimension period * D).  ``gamma`` is passed to
+    condition_bound.
     """
     a = trajectory.samples
     n = a.shape[0]
@@ -143,7 +150,7 @@ def project_circle(trajectory, omega, num_modes, period=1):
         num_modes=l,
         coefficients=coeffs,
         dimension=a.shape[1] // period,
-        condition_estimate=condition_bound(n - 1, omega, l),
+        condition_estimate=condition_bound(n - 1, omega, l, gamma),
     )
 
 
@@ -167,23 +174,28 @@ def eval_circle(circle, component, theta):
 
 
 def make_observable_advance(dynamical_map, observable):
-    """One map application expressed in observable space.
+    """One map application expressed in observable space, on a block of values.
 
-    Returns (advance, substituted): ``advance`` sends an observable
-    value through observable^{-1}, the map, and the observable again.
-    ``substituted`` is True when the observable is a genuine change of
-    coordinates rather than the identity, which is flagged in output
-    because the conjugacy is then checked in observable space.
+    Returns (advance, substituted): ``advance`` sends each row of a (J, D)
+    block of observable values through observable^{-1}, the map, and the
+    observable again, and returns the (J, D) block of images.  The
+    standard map with the embedding observable works on the whole block
+    (maps.standard_embedding_advance); any other pair loops over
+    ``invert``, ``step`` and ``evaluate`` per row.  ``substituted`` is
+    True when the observable is a genuine change of coordinates rather
+    than the identity, which is flagged in output because the conjugacy
+    is then checked in observable space.
     """
-    from .maps import IdentityObservable
+    substituted = not isinstance(observable, IdentityObservable)
+    if type(dynamical_map) is StandardMap and type(observable) is EmbeddingObservable:
+        return partial(standard_embedding_advance, dynamical_map.k), substituted
 
-    def advance(value):
-        state = observable.invert(value)
-        return np.atleast_1d(
-            np.asarray(observable.evaluate(dynamical_map.step(state)), dtype=float)
-        )
+    def advance(values):
+        return np.array([np.atleast_1d(np.asarray(
+            observable.evaluate(dynamical_map.step(observable.invert(value))), dtype=float))
+            for value in values])
 
-    return advance, not isinstance(observable, IdentityObservable)
+    return advance, substituted
 
 
 def validation_residual(circle, advance):
@@ -192,22 +204,26 @@ def validation_residual(circle, advance):
     R_p^2 = (1/(pJ)) sum_j [ |z_1(jh + omega) - F(z_p(jh))|^2
                              + sum_i |z_{i+1}(jh) - F(z_i(jh))|^2 ]
     with h = 1/J, J = VALIDATION_GRID.  ``advance`` must apply one step
-    of the map in the space the circle lives in (see
-    make_observable_advance).
+    of the map to each row of a (J, D) block, in the space the circle
+    lives in (see make_observable_advance); it is called once per
+    component.  Raises ValidationFailure at the first grid point whose
+    image is non-finite.
     """
     p = circle.period
     thetas = np.arange(VALIDATION_GRID) / VALIDATION_GRID
     values = [eval_circle(circle, j + 1, thetas) for j in range(p)]
     # component i is carried onto i + 1, and the last onto the rotated first
     targets = values[1:] + [eval_circle(circle, 1, (thetas + circle.rotation) % 1.0)]
-    total = 0.0
-    for idx in range(VALIDATION_GRID):
-        for source, target in zip(values, targets):
-            img = advance(source[idx])
-            if not np.all(np.isfinite(img)):
-                raise ValidationFailure(f"map escaped at grid point {idx}")
-            diff = target[idx] - img
-            total += float(diff @ diff)
+    images = np.stack([advance(block) for block in values], axis=1)  # (J, p, D)
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=(1, 2)))
+    if bad.size:
+        raise ValidationFailure(f"map escaped at grid point {bad[0]}")
+    diff = np.stack(targets, axis=1) - images
+    # one dot product per (grid point, component), summed in that order:
+    # a stacked matmul runs the same dot kernel as diff_j @ diff_j, which
+    # an einsum or a sum of squares does not match bit for bit
+    squares = np.matmul(diff[..., None, :], diff[..., :, None]).ravel()
+    total = float(np.cumsum(squares)[-1])  # sequential, not pairwise
     return math.sqrt(total / (p * VALIDATION_GRID))
 
 
@@ -216,7 +232,8 @@ def fit_circle(classification):
     traj = classification.fit_trajectory
     if traj is None:
         raise ContractViolation("classification carries no trajectory to fit")
-    num_modes = choose_num_modes(traj.length - 1, classification.rotation)
+    num_modes, gamma = choose_num_modes(traj.length - 1, classification.rotation,
+                                        with_gamma=True)
     return project_circle(
-        traj, classification.rotation, num_modes, classification.period
+        traj, classification.rotation, num_modes, classification.period, gamma
     )

@@ -49,6 +49,26 @@ class DynamicalMap:
     def step(self, point):
         raise NotImplementedError
 
+    def orbit(self, point, count, bound):
+        """The states F(point), F^2(point), ... up to F^count(point), in order.
+
+        Stops before the first state with a coordinate that is non-finite
+        or above ``bound`` in magnitude, so fewer than ``count`` states
+        mean the orbit escaped at the next step.  This default loops over
+        ``step``; a map may override it with a faster loop giving the same
+        states.
+        """
+        states = []
+        for _ in range(count):
+            point = self.step(point)
+            # scalar checks on the coordinates: numpy reductions on a 2-vector
+            # cost more than the map step itself
+            coords = point.tolist() if isinstance(point, np.ndarray) else point
+            if not all(math.isfinite(c) and abs(c) <= bound for c in coords):
+                break
+            states.append(point)
+        return states
+
 
 class Observable:
     """Interface: a smooth function of the map state with values in R^D."""
@@ -57,6 +77,15 @@ class Observable:
 
     def evaluate(self, point):
         raise NotImplementedError
+
+    def evaluate_many(self, points):
+        """Rows ``evaluate(point)`` for a nonempty sequence of states, shape (m, D).
+
+        This default loops over ``evaluate``; an observable may override
+        it with a faster loop giving the same values.
+        """
+        values = np.array([self.evaluate(point) for point in points], dtype=float)
+        return values.reshape(len(points), -1)
 
     def invert(self, value):
         """Map an observable value back to state space, when well defined."""
@@ -84,6 +113,46 @@ class StandardMap(DynamicalMap):
     def step(self, point):
         x, y = standard_map_step(point[0], point[1], self.k)
         return np.array((x, y))
+
+    def orbit(self, point, count, bound):
+        """DynamicalMap.orbit for the standard map, as an (m, 2) array.
+
+        One loop over floats steps the orbit with ``standard_map_step``'s
+        arithmetic, so the states are bitwise those of ``step``; the escape
+        checks then run on the whole block.  Past an escape x is nan or in
+        [0, 1), so the loop cannot fail there, and its steps are dropped.
+        A subclass that overrides ``step`` gets the default loop over its
+        own ``step``.
+        """
+        if type(self).step is not StandardMap.step:
+            return super().orbit(point, count, bound)
+        x, y = float(point[0]), float(point[1])
+        scale, sin, two_pi = self.k / TWO_PI, math.sin, TWO_PI
+        xs, ys = [0.0] * count, [0.0] * count
+        for i in range(count):
+            y -= scale * sin(two_pi * x)
+            x = (x + y) % 1.0
+            xs[i] = x
+            ys[i] = y
+        states = np.array((xs, ys)).T
+        inside = np.isfinite(states).all(axis=1) & (np.abs(states) <= bound).all(axis=1)
+        return states if inside.all() else states[:np.argmin(inside)]
+
+
+def _libm(fn, *arrays):
+    """``fn`` of the math module applied elementwise, as an array.
+
+    numpy's own sin, cos and hypot may round differently from the C
+    library that the scalar methods call through ``math``.
+    """
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _embed(x, y):
+    """EmbeddingObservable.evaluate of the states (x, y), one row each, bitwise."""
+    angle = TWO_PI * x
+    r = y + 0.5
+    return np.stack((r * _libm(math.cos, angle), r * _libm(math.sin, angle)), axis=1)
 
 
 class IdentityObservable(Observable):
@@ -114,6 +183,13 @@ class EmbeddingObservable(Observable):
         ang = TWO_PI * x
         return np.array((r * math.cos(ang), r * math.sin(ang)))
 
+    def evaluate_many(self, points):
+        """Observable.evaluate_many on whole arrays, bitwise ``evaluate``'s."""
+        if type(self).evaluate is not EmbeddingObservable.evaluate:
+            return super().evaluate_many(points)
+        points = np.asarray(points, dtype=float)  # or a list of states from a map's step
+        return _embed(points[:, 0], points[:, 1])
+
     def invert(self, value):
         u, v = value[0], value[1]
         r = math.hypot(u, v)
@@ -121,6 +197,24 @@ class EmbeddingObservable(Observable):
             raise ContractViolation("embedding not invertible at the origin")
         x = (math.atan2(v, u) / TWO_PI) % 1.0
         return np.array((x, r - 0.5))
+
+
+def standard_embedding_advance(k, values):
+    """EmbeddingObservable.invert, one StandardMap(k) step and evaluate, per row.
+
+    ``values`` is a (J, 2) block of observable values; returns the (J, 2)
+    block of their images, each row bitwise the composition of the three
+    methods: the same operations on whole arrays, with ``math`` for the
+    transcendental ones.
+    """
+    u, v = values[:, 0], values[:, 1]
+    r = _libm(math.hypot, u, v)
+    if np.any(r <= 0.0):
+        raise ContractViolation("embedding not invertible at the origin")
+    x = (_libm(math.atan2, v, u) / TWO_PI) % 1.0
+    y = r - 0.5
+    y = y - k / TWO_PI * _libm(math.sin, TWO_PI * x)
+    return _embed((x + y) % 1.0, y)
 
 
 class CoordinateObservable(Observable):
@@ -136,12 +230,14 @@ class CoordinateObservable(Observable):
 
 
 class TrajectorySource:
-    """One seed's orbit a_t = observable(F^t(x0)): the one loop that steps a map.
+    """One seed's orbit a_t = observable(F^t(x0)), drawn in bulk.
 
     ``take(n)`` returns the first n samples, stepping the map only past
     those already drawn, so ``samples_drawn`` - 1 map evaluations were
-    made.  The samples live in one buffer that doubles when a take
-    outgrows it; a returned trajectory views rows no later take writes.
+    made.  Each take makes one ``orbit`` call on the map and one
+    ``evaluate_many`` call on the observable.  The samples live in one
+    buffer that doubles when a take outgrows it; a returned trajectory
+    views rows no later take writes.
     ``take`` raises OrbitEscape (with the offending step index and the
     map evaluations made) if the state becomes non-finite or any
     coordinate exceeds ``escape_bound``, or if the observable is
@@ -170,24 +266,20 @@ class TrajectorySource:
             grown = np.empty((max(n, 2 * self._buffer.shape[0]), self._buffer.shape[1]))
             grown[:filled] = self._buffer[:filled]
             self._buffer = grown
-        out, bound = self._buffer, self.escape_bound
-        step, evaluate = self.dynamical_map.step, self.observable.evaluate
-        for i in range(filled, n):
-            point = step(point)
-            # scalar checks on the coordinates: numpy reductions on a 2-vector
-            # cost more than the map step itself
-            coords = point.tolist() if isinstance(point, np.ndarray) else point
-            for c in coords:
-                if not (math.isfinite(c) and abs(c) <= bound):
-                    # an earlier non-finite observable in this take escaped first
-                    _raise_observable_escape(out, have, i, evaluations=i)
-                    raise OrbitEscape(f"orbit escaped at step {i}", step=i, evaluations=i)
-            out[i] = evaluate(point)
+        states = self.dynamical_map.orbit(point, n - filled, self.escape_bound)
+        stop = filled + len(states)  # first step not drawn: n, or the escaping step
+        if stop > filled:
+            self._buffer[filled:stop] = self.observable.evaluate_many(states)
+            point = states[-1]
+        if stop < n:
+            # an earlier non-finite observable in this take escaped first
+            _raise_observable_escape(self._buffer, have, stop, evaluations=stop)
+            raise OrbitEscape(f"orbit escaped at step {stop}", step=stop, evaluations=stop)
         # one scan of the rows this take drew, the first sample among them;
         # the whole extension was stepped, so n - 1 map evaluations were made
-        _raise_observable_escape(out, have, n, evaluations=n - 1)
+        _raise_observable_escape(self._buffer, have, n, evaluations=n - 1)
         self._state, self.samples_drawn = point, n
-        return Trajectory(out[:n])
+        return Trajectory(self._buffer[:n])
 
 
 def _raise_observable_escape(samples, start, stop, evaluations):

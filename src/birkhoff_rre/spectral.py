@@ -72,27 +72,6 @@ def colleague_matrix(b):
     return mat
 
 
-def _unfold_root(x):
-    """Both solutions z of (z + 1/z)/2 = x, stable branch first.
-
-    A real x within CRITICAL_X_TOL outside [-1, 1] is unfolded as its
-    mirror image inside.  So close to +-1, which side x lands on is
-    rounding, but it decides between a conjugate pair on the unit circle
-    and a real pair whose modulus is off by sqrt(2 |x -+ 1|), which the
-    unit-circle filter drops once |x -+ 1| > 5e-15.
-    """
-    if abs(x.imag) < 1e-14 and abs(x.real) <= 1.0 + CRITICAL_X_TOL:
-        # exact unit modulus for the dominant case
-        xr = x.real if abs(x.real) <= 1.0 else math.copysign(2.0 - abs(x.real), x.real)
-        z = complex(xr, math.sqrt(max(1.0 - xr * xr, 0.0)))
-        return z, z.conjugate()
-    s = np.sqrt(x * x - 1.0)
-    if (np.conj(x) * s).real < 0.0:
-        s = -s
-    z = x + s
-    return complex(z), complex(1.0 / z)
-
-
 def palindromic_roots(c):
     """All roots of the palindromic polynomial sum_k c_k z^k.
 
@@ -113,15 +92,32 @@ def palindromic_roots(c):
         return RootSet(roots=np.empty(0, dtype=complex),
                        low_confidence=np.empty(0, dtype=bool))
     xs = real_eigenvalues(colleague_matrix(b))
-    roots = np.empty(2 * xs.shape[0], dtype=complex)
-    shaky = np.empty(2 * xs.shape[0], dtype=bool)
-    for i, x in enumerate(xs):
-        z1, z2 = _unfold_root(x)
-        roots[2 * i] = z1
-        roots[2 * i + 1] = z2
-        near_critical = min(abs(x - 1.0), abs(x + 1.0)) <= CRITICAL_X_TOL
-        shaky[2 * i] = shaky[2 * i + 1] = near_critical
-    return RootSet(roots=roots, low_confidence=shaky)
+    # each x unfolds into both solutions z of (z + 1/z)/2 = x, stable branch
+    # first, stored as the adjacent pair roots[2i], roots[2i + 1]
+    roots = np.empty((xs.shape[0], 2), dtype=complex)
+    # a real x within CRITICAL_X_TOL outside [-1, 1] is unfolded as its
+    # mirror image inside.  So close to +-1, which side x lands on is
+    # rounding, but it decides between a conjugate pair on the unit circle
+    # and a real pair whose modulus is off by sqrt(2 |x -+ 1|), which the
+    # unit-circle filter drops once |x -+ 1| > 5e-15
+    on_axis = (np.abs(xs.imag) < 1e-14) & (np.abs(xs.real) <= 1.0 + CRITICAL_X_TOL)
+    xr = xs.real[on_axis]
+    xr = np.where(np.abs(xr) <= 1.0, xr, np.copysign(2.0 - np.abs(xr), xr))
+    yr = np.sqrt(np.maximum(1.0 - xr * xr, 0.0))  # exact unit modulus
+    z = np.empty(xr.shape[0], dtype=complex)
+    z.real, z.imag = xr, yr
+    roots[on_axis, 0], roots[on_axis, 1] = z, z.conj()
+    x = xs[~on_axis]
+    # x^2 and Re(conj(x) s) in real arithmetic, rounded as a complex scalar
+    # product is: numpy's complex array product may fuse multiply and add
+    square = np.empty_like(x)
+    square.real = x.real * x.real - x.imag * x.imag
+    square.imag = x.real * x.imag + x.imag * x.real
+    s = np.sqrt(square - 1.0)
+    z = x + np.where(x.real * s.real + x.imag * s.imag < 0.0, -s, s)
+    roots[~on_axis, 0], roots[~on_axis, 1] = z, 1.0 / z
+    near_critical = np.minimum(np.abs(xs - 1.0), np.abs(xs + 1.0)) <= CRITICAL_X_TOL
+    return RootSet(roots=roots.ravel(), low_confidence=np.repeat(near_critical, 2))
 
 
 def unit_circle_filter(root_set):
@@ -131,12 +127,12 @@ def unit_circle_filter(root_set):
 
 
 def canonical_frequency(z):
-    """arg(z)/2pi folded into [0, 1/2] (conjugation symmetry).
+    """arg(z)/2pi folded into [0, 1/2] (conjugation symmetry), elementwise.
 
     Computed as |arg(z)| / 2pi so a conjugate pair maps to bitwise
-    identical values.
+    identical values.  ``z`` is one root or an array of them.
     """
-    return float(abs(np.angle(z)) / (2.0 * math.pi))
+    return np.abs(np.angle(z)) / (2.0 * math.pi)
 
 
 @dataclass
@@ -199,9 +195,8 @@ def mode_prominence(root_set, trajectory):
     prominences = np.zeros(roots.shape[0])
     prominences[is_node] = amplitudes
     groups = {}
-    for z, p, shaky in zip(roots.tolist(), prominences.tolist(),
-                           root_set.low_confidence.tolist()):
-        freq = canonical_frequency(z)
+    for freq, p, shaky in zip(canonical_frequency(roots).tolist(), prominences.tolist(),
+                              root_set.low_confidence.tolist()):
         key = round(freq / _CONSTANT_ROOT_TOL)
         if key in groups:
             old = groups[key]

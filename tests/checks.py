@@ -12,10 +12,12 @@ import numpy as np
 import scipy.optimize
 
 from birkhoff_rre.birkhoff import bump_weights
-from birkhoff_rre.errors import ContractViolation
+from birkhoff_rre.errors import ContractViolation, OrbitEscape, ValidationFailure
+from birkhoff_rre.fourier import VALIDATION_GRID, eval_circle
 from birkhoff_rre.maps import DynamicalMap, Observable, Trajectory
 from birkhoff_rre.numerics import complex_least_squares_solve
 from birkhoff_rre.oracle import _conjugate_pair_factor
+from birkhoff_rre.spectral import CRITICAL_X_TOL
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 TWO_PI = 2.0 * math.pi
@@ -212,3 +214,75 @@ def brute_force_fourier_coefficient(samples, omega, mode, n=None):
     w = bump_weights(n)
     phases = np.exp(-2j * math.pi * mode * omega * np.arange(n))
     return (w * phases) @ samples[:n]
+
+
+def unfold_root(x):
+    """Both solutions z of (z + 1/z)/2 = x, stable branch first: the scalar
+    reference for ``spectral.palindromic_roots``' vectorized unfolding."""
+    if abs(x.imag) < 1e-14 and abs(x.real) <= 1.0 + CRITICAL_X_TOL:
+        # exact unit modulus for the dominant case
+        xr = x.real if abs(x.real) <= 1.0 else math.copysign(2.0 - abs(x.real), x.real)
+        z = complex(xr, math.sqrt(max(1.0 - xr * xr, 0.0)))
+        return z, z.conjugate()
+    s = np.sqrt(x * x - 1.0)
+    if (np.conj(x) * s).real < 0.0:
+        s = -s
+    z = x + s
+    return complex(z), complex(1.0 / z)
+
+
+def reference_samples(dynamical_map, observable, x0, n, escape_bound):
+    """The first n samples of the orbit, one ``step`` and ``evaluate`` per sample.
+
+    The reference for ``TrajectorySource.take`` from an empty source: a
+    coordinate that is non-finite or above ``escape_bound`` at step i raises
+    OrbitEscape at i with i evaluations, unless a non-finite observable came
+    earlier; that raises at its own step, with i evaluations, or n - 1 when
+    the coordinates never escaped.
+    """
+    point = np.asarray(x0, dtype=float)
+    rows = [np.atleast_1d(np.asarray(observable.evaluate(point), dtype=float))]
+    evaluations = n - 1
+    for i in range(1, n):
+        point = dynamical_map.step(point)
+        coords = np.asarray(point, dtype=float)
+        if not (np.all(np.isfinite(coords)) and np.all(np.abs(coords) <= escape_bound)):
+            evaluations = i
+            break
+        rows.append(np.atleast_1d(np.asarray(observable.evaluate(point), dtype=float)))
+    for step, row in enumerate(rows):
+        if not np.all(np.isfinite(row)):
+            raise OrbitEscape(f"observable non-finite at step {step}", step=step,
+                              evaluations=evaluations)
+    if len(rows) < n:
+        raise OrbitEscape(f"orbit escaped at step {evaluations}", step=evaluations,
+                          evaluations=evaluations)
+    return np.array(rows)
+
+
+def point_advance(dynamical_map, observable):
+    """One map step in observable space for a single value (D,)."""
+    def advance(value):
+        state = observable.invert(value)
+        return np.atleast_1d(
+            np.asarray(observable.evaluate(dynamical_map.step(state)), dtype=float))
+
+    return advance
+
+
+def reference_validation_residual(circle, advance):
+    """``fourier.validation_residual`` as one ``advance`` call per grid point
+    and component, with a per-point finiteness check and sum."""
+    p = circle.period
+    thetas = np.arange(VALIDATION_GRID) / VALIDATION_GRID
+    values = [eval_circle(circle, j + 1, thetas) for j in range(p)]
+    targets = values[1:] + [eval_circle(circle, 1, (thetas + circle.rotation) % 1.0)]
+    total = 0.0
+    for idx in range(VALIDATION_GRID):
+        for source, target in zip(values, targets):
+            img = advance(source[idx])
+            if not np.all(np.isfinite(img)):
+                raise ValidationFailure(f"map escaped at grid point {idx}")
+            diff = target[idx] - img
+            total += float(diff @ diff)
+    return math.sqrt(total / (p * VALIDATION_GRID))

@@ -10,7 +10,6 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -373,7 +372,7 @@ class TestClassifySeed:
         cfg = RunConfig(k=2.0, params=ClassifyParams(escape_bound=2.0), seeds=[seed])
         row, payload = classify_seed(cfg, seed)
         assert (row["class"], row["flags"]) == ("chaotic", "escape")
-        assert row["N"] == "215"
+        assert row["N"] == 215
         assert payload is None
 
     def test_stalled_row_reports_the_stopping_rung(self):
@@ -382,7 +381,7 @@ class TestClassifySeed:
         seed = (0.5, 0.0)
         row, payload = classify_seed(RunConfig(k=2.0, seeds=[seed]), seed)
         assert (row["class"], row["flags"]) == ("chaotic", "stalled")
-        assert (row["K"], row["N"]) == ("150", "525")
+        assert (row["K"], row["N"]) == (150, 525)
         assert payload is None
 
     def test_escape_row_counts_evaluations_past_a_bad_observable(self, monkeypatch):
@@ -393,20 +392,20 @@ class TestClassifySeed:
         seed = (0.0, 0.0)
         row, _ = classify_seed(RunConfig(seeds=[seed]), seed)
         assert (row["class"], row["flags"]) == ("chaotic", "escape")
-        assert row["N"] == "250"
+        assert row["N"] == 250
 
     def test_validation_failure_keeps_label(self, monkeypatch):
         # an advance that escapes makes validation_residual raise
         # ValidationFailure: the fit fails, the label and rotation stay
         def nan_advance(dmap, obs):
-            return (lambda value: np.full(2, np.nan)), True
+            return (lambda values: np.full(np.shape(values), np.nan)), True
 
         monkeypatch.setattr(cli, "make_observable_advance", nan_advance)
         seed = (0.05, 0.1)
         row, payload = classify_seed(RunConfig(seeds=[seed]), seed)
         assert row["class"] == "integrable"
-        assert row["period"] == "1" and row["rotation"] != ""
-        assert row["R_p"] == ""
+        assert row["period"] == 1 and row["rotation"] is not None
+        assert row["R_p"] is None
         assert row["flags"].split("|") == ["fit_failed:ValidationFailure"]
         assert payload is None
 
@@ -420,8 +419,8 @@ class TestClassifySeed:
         row, payload = classify_seed(RunConfig(seeds=[seed]), seed)
         assert row["class"] == "error"
         assert row["flags"] == "RuntimeError:synthetic failure"
-        assert (row["seed_x"], row["seed_y"]) == ("0.050000000000000003", "0.10000000000000001")
-        assert all(row[col] == "" for col in cli.CSV_COLUMNS
+        assert (row["seed_x"], row["seed_y"]) == seed
+        assert all(row[col] is None for col in cli.CSV_COLUMNS
                    if col not in ("seed_x", "seed_y", "class", "flags"))
         assert payload is None
 
@@ -561,7 +560,7 @@ class TestClassifyCommand:
         assert all("synthetic failure" in row[10] for row in rows)
 
 
-def circle_json_reference(seed, cls, circle, r_p, flags):
+def circle_json_reference(row, circle):
     """The per-coefficient loop _circle_json replaced."""
     coeffs = []
     d = circle.dimension
@@ -571,7 +570,7 @@ def circle_json_reference(seed, cls, circle, r_p, flags):
             entry = circle.coefficients[mode, block * d:(block + 1) * d]
             rows.append([[float(z.real), float(z.imag)] for z in entry])
         coeffs.append(rows)
-    payload = _circle_json(seed, cls, circle, r_p, flags)
+    payload = _circle_json(row, circle)
     payload["coefficients"] = coeffs
     return payload
 
@@ -584,14 +583,23 @@ class TestCircleJson:
         circle = FourierCircle(
             period=period, rotation=0.3, num_modes=num_modes, dimension=2,
             coefficients=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        cls = SimpleNamespace(diagnostics={"R": 1e-12, "R_G": 2e-12})
-        args = ((0.05, 0.25), cls, circle, 3e-9, ["observable_space_validation"])
-        payload = _circle_json(*args)
+        row = {"seed_x": 0.05, "seed_y": 0.25, "R": 1e-12, "R_G": 2e-12, "R_p": 3e-9,
+               "flags": "observable_space_validation"}
+        payload = _circle_json(row, circle)
         assert len(payload["coefficients"]) == period
-        payload["coefficients"] = payload["coefficients"].tolist()  # as run_classify writes it
-        expected = circle_json_reference(*args)
+        assert payload["seed"] == [0.05, 0.25]
+        assert payload["residuals"] == {"R": 1e-12, "R_G": 2e-12, "R_p": 3e-9}
+        assert payload["flags"] == ["observable_space_validation"]
+        expected = circle_json_reference(row, circle)
         assert (json.dumps(payload, indent=1, sort_keys=True)
                 == json.dumps(expected, indent=1, sort_keys=True))
+
+    def test_no_flags_is_an_empty_list(self):
+        circle = FourierCircle(period=1, rotation=0.3, num_modes=0, dimension=2,
+                               coefficients=np.ones((1, 2), dtype=complex))
+        row = {"seed_x": 0.05, "seed_y": 0.25, "R": 1e-12, "R_G": 2e-12, "R_p": 3e-9,
+               "flags": ""}
+        assert _circle_json(row, circle)["flags"] == []
 
 
 class TestConvergeCommand:

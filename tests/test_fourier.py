@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from birkhoff_rre.birkhoff import bump_weights
-from birkhoff_rre.errors import ContractViolation
+from birkhoff_rre.errors import ContractViolation, ValidationFailure
 from birkhoff_rre.fourier import (
+    VALIDATION_GRID,
+    FourierCircle,
     choose_num_modes,
     condition_bound,
     eval_circle,
@@ -22,7 +24,7 @@ from birkhoff_rre.maps import (
     sample_trajectory,
 )
 from birkhoff_rre.spectral import classify_trajectory
-from checks import GOLDEN, complex_mode_fit
+from checks import GOLDEN, complex_mode_fit, point_advance, reference_validation_residual
 
 
 def toeplitz_gamma(window, omega, num_modes):
@@ -48,6 +50,24 @@ class TestChooseNumModes:
         for omega in (GOLDEN, 0.1330925, 0.271):
             level = choose_num_modes(300, omega)
             assert toeplitz_gamma(300, omega, level) < 0.5
+
+    @pytest.mark.parametrize("window, omega", [(300, GOLDEN), (174, 0.1330925), (500, 0.5),
+                                               (1050, 0.0555549)])
+    def test_gamma_passed_on_gives_the_same_bound(self, window, omega):
+        # the gamma choose_num_modes hands on is the sum condition_bound
+        # makes, bit for bit
+        level, gamma = choose_num_modes(window, omega, with_gamma=True)
+        assert level == choose_num_modes(window, omega)
+        assert condition_bound(window, omega, level, gamma) == condition_bound(
+            window, omega, level)
+
+    def test_fit_circle_condition_estimate(self):
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.1))
+        circle = fit_circle(cls)
+        window = cls.fit_trajectory.length - 1
+        assert circle.num_modes == choose_num_modes(window, cls.rotation)
+        assert circle.condition_estimate == condition_bound(window, cls.rotation,
+                                                            circle.num_modes)
 
 
 class TestProjectCircle:
@@ -161,6 +181,78 @@ class TestValidation:
         circle.coefficients[circle.num_modes + 1, 0] += 1e-3
         bumped = validation_residual(circle, advance)
         assert 1e-4 <= bumped <= 1e-2
+
+    @pytest.mark.parametrize("seed, period", [((0.05, 0.1), 1), ((0.05, 0.37575757575757573), 3)])
+    def test_batch_equals_per_point_reference(self, seed, period):
+        smap, obs = StandardMap(0.7), EmbeddingObservable()
+        cls = classify_trajectory(smap, obs, seed)
+        assert cls.period == period
+        circle = fit_circle(cls)
+        advance, _ = make_observable_advance(smap, obs)
+        reference = reference_validation_residual(circle, point_advance(smap, obs))
+        assert validation_residual(circle, advance) == reference
+
+    def test_sum_equals_per_point_reference(self):
+        # the zero circle is its own target, so an advance that moves one
+        # grid point by d leaves R_p^2 = d @ d / J: a term that two dot
+        # kernels round apart shows in R_p
+        rng = np.random.default_rng(7)
+        circle = FourierCircle(period=1, rotation=0.0, num_modes=0, dimension=2,
+                               coefficients=np.zeros((1, 2), dtype=complex))
+        for grid_point in range(0, 120, 3):
+            moved = np.zeros((VALIDATION_GRID, 2))
+            moved[grid_point] = rng.standard_normal(2)
+
+            def advance(values, moved=moved):
+                return values + moved
+
+            def point(value, moved=moved, rows=iter(range(VALIDATION_GRID))):
+                return value + moved[next(rows)]
+
+            assert validation_residual(circle, advance) == reference_validation_residual(
+                circle, point)
+
+    def test_default_advance_equals_per_point_reference(self):
+        # a pair other than the built-in one loops over the three methods
+        class PlainStandardMap(StandardMap):
+            def step(self, point):
+                return super().step(point)
+
+        smap, obs = PlainStandardMap(0.7), EmbeddingObservable()
+        circle = fit_circle(classify_trajectory(smap, obs, (0.05, 0.37575757575757573)))
+        advance, _ = make_observable_advance(smap, obs)
+        assert advance is not make_observable_advance(StandardMap(0.7), obs)[0]
+        reference = reference_validation_residual(circle, point_advance(smap, obs))
+        assert validation_residual(circle, advance) == reference
+
+    def test_escape_reports_first_grid_point(self):
+        # components 1 and 3 of a period-3 chain escape from grid points 70
+        # and 40 on: grid point 40 is reported, as the per-point loop over
+        # (grid point, component) reports it
+        smap, obs = StandardMap(0.7), EmbeddingObservable()
+        circle = fit_circle(classify_trajectory(smap, obs, (0.05, 0.37575757575757573)))
+        first_bad = {0: 70, 2: 40}  # component -> first escaping grid point
+        good, _ = make_observable_advance(smap, obs)
+        blocks = []
+
+        def advance(values):
+            images = good(values)
+            images[first_bad.get(len(blocks), 128):] = np.nan
+            blocks.append(len(values))
+            return images
+
+        with pytest.raises(ValidationFailure, match="grid point 40$"):
+            validation_residual(circle, advance)
+        assert blocks == [128, 128, 128]  # one call per component
+        point, calls = point_advance(smap, obs), iter(range(3 * 128))
+
+        def reference_advance(value):
+            idx, component = divmod(next(calls), 3)
+            image = point(value)
+            return image * np.nan if idx >= first_bad.get(component, 128) else image
+
+        with pytest.raises(ValidationFailure, match="grid point 40$"):
+            reference_validation_residual(circle, reference_advance)
 
     def test_projection_self_consistency(self):
         traj = sample_trajectory(StandardMap(0.7), EmbeddingObservable(),

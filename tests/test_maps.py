@@ -16,7 +16,7 @@ from birkhoff_rre.maps import (
     sample_trajectory,
     standard_map_step,
 )
-from checks import CounterMap, NanFromObservable, standard_map_inverse_step
+from checks import CounterMap, NanFromObservable, reference_samples, standard_map_inverse_step
 
 finite_coords = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
@@ -199,6 +199,93 @@ class TestTrajectorySource:
             source.take(10)
         assert (info.value.step, info.value.evaluations) == (0, 4)
         assert source.samples_drawn == 0
+
+
+class TestBulkOrbit:
+    """TrajectorySource draws through DynamicalMap.orbit and
+    Observable.evaluate_many; the result must be the per-step loop's."""
+
+    @pytest.mark.parametrize("y0", [0.0, 0.1, 0.2606, 0.3758, 0.5576])
+    def test_take_equals_per_step_loop(self, y0):
+        # k = 0.7 line seeds: a fixed-point neighbour, circles, a chaotic
+        # seed and a period-3 chain; takes that extend the buffer in place
+        # and ones that outgrow it
+        smap, obs = StandardMap(0.7), EmbeddingObservable()
+        expected = reference_samples(smap, obs, (0.05, y0), 1401, 1e6)
+        source = TrajectorySource(smap, obs, (0.05, y0))
+        for n in (1, 2, 176, 200, 351, 1401):
+            assert np.array_equal(source.take(n).samples, expected[:n])
+        assert source.samples_drawn == 1401
+
+    def test_orbit_states_equal_step(self):
+        smap = StandardMap(0.9716)
+        point = np.array((0.3, 0.45))
+        states = smap.orbit(point, 500, 1e6)
+        for row in states:
+            point = smap.step(point)
+            assert np.array_equal(row, point)
+
+    def test_evaluate_many_equals_evaluate(self):
+        obs = EmbeddingObservable()
+        states = StandardMap(0.7).orbit((0.05, 0.2), 300, 1e6)
+        assert np.array_equal(obs.evaluate_many(states),
+                              np.array([obs.evaluate(state) for state in states]))
+
+    def test_standard_map_escape_matches_reference(self):
+        # at k = 2.0 the orbit of (0.5, 0.0) leaves |y| <= 2 at step 215
+        smap, obs = StandardMap(2.0), EmbeddingObservable()
+        with pytest.raises(OrbitEscape) as ref:
+            reference_samples(smap, obs, (0.5, 0.0), 400, 2.0)
+        source = TrajectorySource(smap, obs, (0.5, 0.0), escape_bound=2.0)
+        source.take(100)
+        with pytest.raises(OrbitEscape) as info:
+            source.take(400)
+        assert (info.value.step, info.value.evaluations) == (215, 215)
+        assert (ref.value.step, ref.value.evaluations) == (215, 215)
+        assert source.samples_drawn == 100
+
+    @pytest.mark.parametrize("threshold, bound, n", [
+        (math.inf, 150.0, 251),   # coordinate escape at step 151
+        (100.0, 1e6, 251),        # observable escape at step 100, whole take stepped
+        (100.0, 150.0, 251),      # observable escape before the coordinate escape
+        (0.0, 3.0, 10),           # nan at x0, coordinates out at step 4
+    ])
+    def test_escape_matches_reference(self, threshold, bound, n):
+        with pytest.raises(OrbitEscape) as ref:
+            reference_samples(CounterMap(), NanFromObservable(threshold), (0.0, 0.0), n, bound)
+        source = TrajectorySource(CounterMap(), NanFromObservable(threshold), (0.0, 0.0),
+                                  escape_bound=bound)
+        with pytest.raises(OrbitEscape) as info:
+            source.take(n)
+        assert (info.value.step, info.value.evaluations) == (ref.value.step,
+                                                             ref.value.evaluations)
+
+    def test_user_map_runs_through_default_orbit(self):
+        # CounterMap and NanFromObservable override neither bulk method
+        assert "orbit" not in vars(CounterMap)
+        assert "evaluate_many" not in vars(NanFromObservable)
+        source = TrajectorySource(CounterMap(), NanFromObservable(math.inf), (0.0, 0.0))
+        assert np.array_equal(source.take(7).samples[:, 0], np.arange(7.0))
+
+    def test_subclass_overrides_are_used(self):
+        # subclasses of the built-in pair with their own step or evaluate get
+        # the default bulk loops, which call those methods once per sample
+        class CountingStandardMap(StandardMap):
+            calls = 0
+
+            def step(self, point):
+                self.calls += 1
+                return super().step(point)
+
+        class ShiftedEmbedding(EmbeddingObservable):
+            def evaluate(self, point):
+                return super().evaluate(point) + 1.0
+
+        counting = CountingStandardMap(0.7)
+        traj = sample_trajectory(counting, ShiftedEmbedding(), (0.1, 0.2), 40)
+        assert counting.calls == 39
+        expected = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.2), 40)
+        assert np.array_equal(traj.samples, expected.samples + 1.0)
 
 
 class TestTrajectory:

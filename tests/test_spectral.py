@@ -18,6 +18,7 @@ from birkhoff_rre.maps import (
 from birkhoff_rre.numerics import real_eigenvalues
 from birkhoff_rre.rre import adaptive_solve, solve_from_trajectory
 from birkhoff_rre.spectral import (
+    CRITICAL_X_TOL,
     ClassifyParams,
     ModeEntry,
     RootSet,
@@ -37,6 +38,7 @@ from checks import (
     continued_fraction_convergents,
     pair_distance,
     projection_prominences,
+    unfold_root,
 )
 from test_cli import BAD_VALUES
 
@@ -140,6 +142,28 @@ class TestPalindromicRoots:
         near = kept.roots[np.abs(kept.roots - edge) < 1e-6]
         assert len(near) == 2 and np.all(kept.low_confidence[np.abs(kept.roots - edge) < 1e-6])
         assert np.all(np.abs(np.abs(near) - 1.0) < 1e-15)
+
+
+    @pytest.mark.parametrize("seed, half_length", [((0.12, 0.0), 40), ((0.05, 0.2606), 150),
+                                                    ((0.05, 0.37575757575757573), 50)])
+    def test_unfolding_equals_scalar_reference(self, seed, half_length):
+        # every branch of the vectorized unfolding, bit for bit against the
+        # per-root reference: on-axis roots (some mirrored back inside
+        # [-1, 1] in the edge filters below), complex x and the low-confidence mask
+        traj = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), seed,
+                                 3 * half_length + 2 * half_length + 1)
+        filters = [solve_from_trajectory(traj, half_length, 3 * half_length // 2).coefficients,
+                   np.array([0.25, 0.5, 0.25])]
+        for x0 in (1.0 + 5e-14, -1.0 - 5e-14, 1.0 - 5e-8):
+            b = np.array([0.5 + 0.3 * x0, -(x0 + 0.3), 0.5])
+            filters.append(np.concatenate([b[:0:-1] / 2.0, [b[0]], b[1:] / 2.0]))
+        for c in filters:
+            xs = real_eigenvalues(colleague_matrix(chebyshev_coefficients(c)))
+            expected = np.array([z for x in xs for z in unfold_root(x)])
+            shaky = np.repeat([min(abs(x - 1.0), abs(x + 1.0)) <= CRITICAL_X_TOL for x in xs], 2)
+            roots = palindromic_roots(c)
+            assert np.array_equal(roots.roots.view(float), expected.view(float))
+            assert np.array_equal(roots.low_confidence, shaky)
 
 
 class TestUnitCircleFilter:
@@ -464,3 +488,9 @@ class TestCanonicalFrequency:
     def test_conjugates_match_exactly(self, w):
         z = np.exp(2j * np.pi * w)
         assert canonical_frequency(z) == canonical_frequency(np.conj(z))
+
+    def test_array_equals_per_root(self):
+        traj = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.2), 351)
+        roots = palindromic_roots(solve_from_trajectory(traj, 100, 150).coefficients).roots
+        assert np.array_equal(canonical_frequency(roots),
+                              [float(abs(np.angle(z)) / (2.0 * math.pi)) for z in roots.tolist()])
