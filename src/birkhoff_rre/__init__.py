@@ -44,7 +44,6 @@ from .maps import (
     CoordinateObservable,
     DynamicalMap,
     EmbeddingObservable,
-    IdentityObservable,
     Observable,
     StandardMap,
     Trajectory,

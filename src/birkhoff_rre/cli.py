@@ -74,10 +74,7 @@ def classify_seed(cfg, seed):
             row["rotation"] = cls.rotation
             try:
                 fitted = fit_circle(cls)
-                advance, substituted = make_observable_advance(dmap, obs)
-                row["R_p"] = validation_residual(fitted, advance)
-                if substituted:
-                    flags.append("observable_space_validation")
+                row["R_p"] = validation_residual(fitted, make_observable_advance(dmap, obs))
                 circle = fitted
             except (ValueError, OrbitEscape, NotImplementedError, ValidationFailure) as exc:
                 flags.append(f"fit_failed:{type(exc).__name__}")

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ContractViolation
-from .maps import CoordinateObservable, EmbeddingObservable, IdentityObservable
+from .maps import CoordinateObservable, EmbeddingObservable
 from .spectral import ClassifyParams
 
 _MAP_KEYS = {"name", "k", "observable", "escape_bound"}
@@ -21,11 +21,11 @@ _ALGORITHM_KEYS = (
 _SEED_KEYS = {"mode", "x", "y_min", "y_max", "count", "seeds"}
 _OUTPUT_KEYS = {"table", "circles", "workers"}
 
-# [map] observable: name -> constructor of the observable
+# [map] observable: name -> constructor of the observable.  Each is smooth
+# on the cylinder: weighted Birkhoff averages converge fast only for smooth
+# observables, so none may carry the angle x, which jumps where it wraps at 1
 OBSERVABLES = {
     "embedding": EmbeddingObservable,
-    "identity": IdentityObservable,
-    "x": lambda: CoordinateObservable(0),
     "y": lambda: CoordinateObservable(1),
 }
 
@@ -51,7 +51,10 @@ class RunConfig:
         if self.map_name != "standard-map":
             raise ConfigError(f"unknown map {self.map_name!r}")
         if self.observable not in OBSERVABLES:
-            raise ConfigError(f"unknown observable {self.observable!r}")
+            raise ConfigError(
+                f"unknown observable {self.observable!r}: choose one of "
+                f"{', '.join(OBSERVABLES)}; an observable that carries the angle x, "
+                "which wraps at 1, is not smooth")
         if self.params.escape_bound < 1:  # it bounds every coordinate, and x spans [0, 1)
             raise ConfigError(f"escape_bound must be >= 1, got {self.params.escape_bound}")
         if not self.seeds:

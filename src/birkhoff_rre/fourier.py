@@ -16,8 +16,7 @@ import numpy as np
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation, ValidationFailure
-from .maps import (EmbeddingObservable, IdentityObservable, StandardMap,
-                   standard_embedding_advance)
+from .maps import EmbeddingObservable, StandardMap, standard_embedding_advance
 from .numerics import least_squares_solve
 
 GAMMA_MAX = 0.5        # choose_num_modes keeps gamma_L below this
@@ -61,16 +60,16 @@ def _gamma_sums(window, omega, terms):
         yield acc
 
 
-def choose_num_modes(window, omega, *, with_gamma=False):
+def choose_num_modes(window, omega):
     """Largest L whose projection stays provably well conditioned.
 
     The normal matrix of the mode projection is Toeplitz with entries
     eta_n = sum_{t=0}^{window} w_{t,window+1} e^{2 pi i omega n t}, so
     gamma_L = sum_{n=1}^{2L} |eta_n| < GAMMA_MAX bounds its condition
-    number by sqrt((1+2 gamma_L)/(1-2 gamma_L)).  Returns L >= 0
-    (L = 0 is a mean-only fit), capped so 2L+1 never exceeds the
-    sample count.  With ``with_gamma``, returns (L, gamma_L), gamma_0 = 0,
-    so condition_bound need not sum the same terms again.
+    number by sqrt((1+2 gamma_L)/(1-2 gamma_L)).  Returns (L, gamma_L):
+    L >= 0 (L = 0 is a mean-only fit, with gamma_0 = 0), capped so 2L+1
+    never exceeds the sample count, and gamma_L for condition_bound, so
+    it need not sum the same terms again.
     """
     if window < 2:
         raise ContractViolation(f"need window >= 2, got {window}")
@@ -80,7 +79,7 @@ def choose_num_modes(window, omega, *, with_gamma=False):
             break
         if n % 2 == 0:
             best, best_gamma = n // 2, gamma
-    return (best, best_gamma) if with_gamma else best
+    return best, best_gamma
 
 
 def condition_bound(window, omega, num_modes, gamma=None):
@@ -176,26 +175,22 @@ def eval_circle(circle, component, theta):
 def make_observable_advance(dynamical_map, observable):
     """One map application expressed in observable space, on a block of values.
 
-    Returns (advance, substituted): ``advance`` sends each row of a (J, D)
-    block of observable values through observable^{-1}, the map, and the
-    observable again, and returns the (J, D) block of images.  The
-    standard map with the embedding observable works on the whole block
-    (maps.standard_embedding_advance); any other pair loops over
-    ``invert``, ``step`` and ``evaluate`` per row.  ``substituted`` is
-    True when the observable is a genuine change of coordinates rather
-    than the identity, which is flagged in output because the conjugacy
-    is then checked in observable space.
+    Returns ``advance``, which sends each row of a (J, D) block of
+    observable values through observable^{-1}, the map, and the observable
+    again, and returns the (J, D) block of images, so the conjugacy is
+    checked in observable space.  The standard map with the embedding
+    observable works on the whole block (maps.standard_embedding_advance);
+    any other pair loops over ``invert``, ``step`` and ``evaluate`` per row.
     """
-    substituted = not isinstance(observable, IdentityObservable)
     if type(dynamical_map) is StandardMap and type(observable) is EmbeddingObservable:
-        return partial(standard_embedding_advance, dynamical_map.k), substituted
+        return partial(standard_embedding_advance, dynamical_map.k)
 
     def advance(values):
         return np.array([np.atleast_1d(np.asarray(
             observable.evaluate(dynamical_map.step(observable.invert(value))), dtype=float))
             for value in values])
 
-    return advance, substituted
+    return advance
 
 
 def validation_residual(circle, advance):
@@ -232,8 +227,7 @@ def fit_circle(classification):
     traj = classification.fit_trajectory
     if traj is None:
         raise ContractViolation("classification carries no trajectory to fit")
-    num_modes, gamma = choose_num_modes(traj.length - 1, classification.rotation,
-                                        with_gamma=True)
+    num_modes, gamma = choose_num_modes(traj.length - 1, classification.rotation)
     return project_circle(
         traj, classification.rotation, num_modes, classification.period, gamma
     )

@@ -155,19 +155,6 @@ def _embed(x, y):
     return np.stack((r * _libm(math.cos, angle), r * _libm(math.sin, angle)), axis=1)
 
 
-class IdentityObservable(Observable):
-    """Return the state itself."""
-
-    def __init__(self, state_dimension=2):
-        self.output_dimension = state_dimension
-
-    def evaluate(self, point):
-        return np.asarray(point, dtype=float).copy()
-
-    def invert(self, value):
-        return np.asarray(value, dtype=float).copy()
-
-
 class EmbeddingObservable(Observable):
     """Smooth embedding of the cylinder T x R into the plane.
 

@@ -103,6 +103,17 @@ class CounterMap(DynamicalMap):
         return np.asarray(point, dtype=float) + 1.0
 
 
+class IdentityObservable(Observable):
+    """The state itself, to read raw orbits (the package offers only smooth
+    observables, and the angle x jumps where it wraps)."""
+
+    def __init__(self, state_dimension=2):
+        self.output_dimension = state_dimension
+
+    def evaluate(self, point):
+        return np.asarray(point, dtype=float).copy()
+
+
 class NanFromObservable(Observable):
     """x, or nan once x >= ``threshold`` (D = 1)."""
 

@@ -166,7 +166,7 @@ def test_criterion_5_island_detection():
     circle = fit_circle(cls)
     assert circle.period == 2
     assert circle.coefficients.shape[1] == 4  # two island blocks, D = 2
-    advance, _ = make_observable_advance(smap, obs)
+    advance = make_observable_advance(smap, obs)
     r_p = validation_residual(circle, advance)
     assert r_p < 1e-2
     elapsed = time.perf_counter() - start

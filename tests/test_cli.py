@@ -16,12 +16,12 @@ import pytest
 
 from birkhoff_rre import cli
 from birkhoff_rre.cli import _circle_json, classify_seed, figure2_errors, main
-from birkhoff_rre.config import RunConfig, load_config
+from birkhoff_rre.config import OBSERVABLES, RunConfig, load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
 from birkhoff_rre.maps import DynamicalMap, Observable
 from birkhoff_rre.spectral import ClassifyParams
-from checks import CounterMap, NanFromObservable
+from checks import CounterMap, IdentityObservable, NanFromObservable
 
 
 def write_config(path, body):
@@ -70,6 +70,8 @@ BAD_VALUES = [
     ("delta_k = 50", "delta_k = 50\nn_samples = 0"),
     ("seeds = 0.0 0.0;", "seeds = nan 0.0;"),
     ("seeds = 0.0 0.0;", "seeds = 0.0 inf;"),
+    ("observable = embedding", "observable = identity"),
+    ("observable = embedding", "observable = x"),
 ]
 
 
@@ -147,15 +149,13 @@ FLAG_CASES = [
     ("fixed_point", "integrable", 0.7, "embedding", (0.0, 0.0), {}),
     ("escape", "chaotic", 2.0, "embedding", (0.5, 0.0), {"escape_bound": 2.0}),
     ("periodic_orbit", "integrable", 0.7, "embedding", (0.0, 0.5), {}),
-    ("no_unit_circle_roots", "indeterminate", HalvingMap(), "identity", (0.3, 0.2),
+    ("no_unit_circle_roots", "indeterminate", HalvingMap(), IdentityObservable(), (0.3, 0.2),
      {"k_init": 1, "k_max": 1, "delta_k": 1}),
-    ("no_unit_circle_roots_stacked", "indeterminate", 0.5, "identity",
-     (0.05, 32 * (0.6 / 39)), {}),
+    ("no_unit_circle_roots_stacked", "indeterminate", 0.7, "y", (0.05, 81 * (0.6 / 99)), {}),
     ("stacked_signal_too_short", "indeterminate", 0.7, "embedding",
      (0.05, 0.042424242424242427), {"eps_rat": 1e-4}),
     ("stacked_rational:17/47", "integrable", TorusRotation(), TorusObservable(), (0.1, 0.2),
      {}),
-    ("observable_space_validation", "integrable", 0.7, "embedding", (0.05, 0.1), {}),
     ("fit_failed:NotImplementedError", "integrable", 0.7, "y", (0.05, 0.1), {}),
     ("stalled", "chaotic", 2.0, "embedding", (0.5, 0.0), {}),
 ]
@@ -215,6 +215,17 @@ class TestConfig:
         cfg = write_config(tmp_path / "bad.ini", body.replace(old, new, 1))
         assert main(["classify", cfg]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "converge", "average"])
+    def test_non_smooth_observable_exits_two(self, tmp_path, capsys, command):
+        # the angle x jumps where it wraps at 1, so no observable carries it
+        body = BASE.format(table=tmp_path / "t.csv").replace(
+            "observable = embedding", "observable = x")
+        assert main([command, write_config(tmp_path / "bad.ini", body)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "not smooth" in err
+        assert f"choose one of {', '.join(OBSERVABLES)};" in err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("old, new", [case[1:] for case in MALFORMED],
@@ -283,6 +294,14 @@ class TestConfig:
         named = re.findall(r"^- `([^`]+)`", listed, flags=re.MULTILINE)
         assert sorted(flag_name(flag) for flag in named) == sorted(
             flag_name(case[0]) for case in FLAG_CASES)
+
+    def test_readme_lists_every_observable(self):
+        # the names in the comment of README's example observable line are
+        # exactly the observables a run configuration accepts
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        comment = re.search(r"^observable = embedding +# (.*)$", readme, flags=re.MULTILINE)
+        assert sorted(name.strip() for name in comment.group(1).split("|")) == sorted(
+            OBSERVABLES)
 
     def test_line_seed_grid(self, tmp_path):
         body = BASE.format(table="t.csv").replace(
@@ -398,7 +417,7 @@ class TestClassifySeed:
         # an advance that escapes makes validation_residual raise
         # ValidationFailure: the fit fails, the label and rotation stay
         def nan_advance(dmap, obs):
-            return (lambda values: np.full(np.shape(values), np.nan)), True
+            return lambda values: np.full(np.shape(values), np.nan)
 
         monkeypatch.setattr(cli, "make_observable_advance", nan_advance)
         seed = (0.05, 0.1)
@@ -584,12 +603,12 @@ class TestCircleJson:
             period=period, rotation=0.3, num_modes=num_modes, dimension=2,
             coefficients=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         row = {"seed_x": 0.05, "seed_y": 0.25, "R": 1e-12, "R_G": 2e-12, "R_p": 3e-9,
-               "flags": "observable_space_validation"}
+               "flags": "stacked_rational:17/47"}
         payload = _circle_json(row, circle)
         assert len(payload["coefficients"]) == period
         assert payload["seed"] == [0.05, 0.25]
         assert payload["residuals"] == {"R": 1e-12, "R_G": 2e-12, "R_p": 3e-9}
-        assert payload["flags"] == ["observable_space_validation"]
+        assert payload["flags"] == ["stacked_rational:17/47"]
         expected = circle_json_reference(row, circle)
         assert (json.dumps(payload, indent=1, sort_keys=True)
                 == json.dumps(expected, indent=1, sort_keys=True))
@@ -643,7 +662,7 @@ class TestConvergeCommand:
         monkeypatch.setattr(cli, "build_map", lambda cfg: DriftMap())
         table = tmp_path / "conv.csv"
         body = BASE.format(table=table).replace(
-            "observable = embedding", "observable = identity\nescape_bound = 150"
+            "k = 0.7", "k = 0.7\nescape_bound = 150"
         ).replace("seeds = 0.0 0.0; 0.1 0.0; 0.5 0.05", "seeds = 0.0 0.0")
         body = body.replace("delta_adapt = 1e-10", "delta_adapt = 1e-10\nk_values = 25 50")
         assert main(["converge", write_config(tmp_path / "run.ini", body)]) == 0

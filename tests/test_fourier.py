@@ -18,13 +18,13 @@ from birkhoff_rre.fourier import (
 )
 from birkhoff_rre.maps import (
     EmbeddingObservable,
-    IdentityObservable,
     StandardMap,
     Trajectory,
     sample_trajectory,
 )
 from birkhoff_rre.spectral import classify_trajectory
-from checks import GOLDEN, complex_mode_fit, point_advance, reference_validation_residual
+from checks import (GOLDEN, IdentityObservable, complex_mode_fit, point_advance,
+                    reference_validation_residual)
 
 
 def toeplitz_gamma(window, omega, num_modes):
@@ -44,11 +44,11 @@ class TestChooseNumModes:
 
     def test_half_frequency_forces_mean_only(self):
         # e^{2 pi i * (1/2) * 2 t} = 1, so |eta_2| = 1 kills L >= 1
-        assert choose_num_modes(500, 0.5) == 0
+        assert choose_num_modes(500, 0.5) == (0, 0.0)
 
     def test_gamma_below_threshold(self):
         for omega in (GOLDEN, 0.1330925, 0.271):
-            level = choose_num_modes(300, omega)
+            level, _ = choose_num_modes(300, omega)
             assert toeplitz_gamma(300, omega, level) < 0.5
 
     @pytest.mark.parametrize("window, omega", [(300, GOLDEN), (174, 0.1330925), (500, 0.5),
@@ -56,8 +56,7 @@ class TestChooseNumModes:
     def test_gamma_passed_on_gives_the_same_bound(self, window, omega):
         # the gamma choose_num_modes hands on is the sum condition_bound
         # makes, bit for bit
-        level, gamma = choose_num_modes(window, omega, with_gamma=True)
-        assert level == choose_num_modes(window, omega)
+        level, gamma = choose_num_modes(window, omega)
         assert condition_bound(window, omega, level, gamma) == condition_bound(
             window, omega, level)
 
@@ -65,7 +64,7 @@ class TestChooseNumModes:
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.1))
         circle = fit_circle(cls)
         window = cls.fit_trajectory.length - 1
-        assert circle.num_modes == choose_num_modes(window, cls.rotation)
+        assert circle.num_modes == choose_num_modes(window, cls.rotation)[0]
         assert circle.condition_estimate == condition_bound(window, cls.rotation,
                                                             circle.num_modes)
 
@@ -167,17 +166,14 @@ class TestValidation:
         cls = classify_trajectory(StandardMap(0.0), EmbeddingObservable(),
                                   (0.1, GOLDEN))
         circle = fit_circle(cls)
-        advance, substituted = make_observable_advance(
-            StandardMap(0.0), EmbeddingObservable()
-        )
-        assert substituted
+        advance = make_observable_advance(StandardMap(0.0), EmbeddingObservable())
         assert validation_residual(circle, advance) <= 1e-10
 
     def test_perturbation_sensitivity(self):
         cls = classify_trajectory(StandardMap(0.0), EmbeddingObservable(),
                                   (0.1, GOLDEN))
         circle = fit_circle(cls)
-        advance, _ = make_observable_advance(StandardMap(0.0), EmbeddingObservable())
+        advance = make_observable_advance(StandardMap(0.0), EmbeddingObservable())
         circle.coefficients[circle.num_modes + 1, 0] += 1e-3
         bumped = validation_residual(circle, advance)
         assert 1e-4 <= bumped <= 1e-2
@@ -188,7 +184,7 @@ class TestValidation:
         cls = classify_trajectory(smap, obs, seed)
         assert cls.period == period
         circle = fit_circle(cls)
-        advance, _ = make_observable_advance(smap, obs)
+        advance = make_observable_advance(smap, obs)
         reference = reference_validation_residual(circle, point_advance(smap, obs))
         assert validation_residual(circle, advance) == reference
 
@@ -220,8 +216,8 @@ class TestValidation:
 
         smap, obs = PlainStandardMap(0.7), EmbeddingObservable()
         circle = fit_circle(classify_trajectory(smap, obs, (0.05, 0.37575757575757573)))
-        advance, _ = make_observable_advance(smap, obs)
-        assert advance is not make_observable_advance(StandardMap(0.7), obs)[0]
+        advance = make_observable_advance(smap, obs)
+        assert advance is not make_observable_advance(StandardMap(0.7), obs)
         reference = reference_validation_residual(circle, point_advance(smap, obs))
         assert validation_residual(circle, advance) == reference
 
@@ -232,7 +228,7 @@ class TestValidation:
         smap, obs = StandardMap(0.7), EmbeddingObservable()
         circle = fit_circle(classify_trajectory(smap, obs, (0.05, 0.37575757575757573)))
         first_bad = {0: 70, 2: 40}  # component -> first escaping grid point
-        good, _ = make_observable_advance(smap, obs)
+        good = make_observable_advance(smap, obs)
         blocks = []
 
         def advance(values):
@@ -277,7 +273,7 @@ class TestValidation:
         for _ in range(10):
             omega = rng.uniform(0.05, 0.45)
             window = int(rng.integers(60, 300))
-            level = choose_num_modes(window, omega)
+            level, _ = choose_num_modes(window, omega)
             if level == 0:
                 continue
             bound = condition_bound(window, omega, level)

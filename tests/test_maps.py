@@ -9,14 +9,14 @@ from birkhoff_rre.errors import ContractViolation, OrbitEscape
 from birkhoff_rre.maps import (
     DynamicalMap,
     EmbeddingObservable,
-    IdentityObservable,
     StandardMap,
     Trajectory,
     TrajectorySource,
     sample_trajectory,
     standard_map_step,
 )
-from checks import CounterMap, NanFromObservable, reference_samples, standard_map_inverse_step
+from checks import (CounterMap, IdentityObservable, NanFromObservable, reference_samples,
+                    standard_map_inverse_step)
 
 finite_coords = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
