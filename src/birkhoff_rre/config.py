@@ -18,7 +18,9 @@ from .spectral import ClassifyParams
 _MAP_KEYS = {"name", "k", "observable", "escape_bound"}
 _ALGORITHM_KEYS = (
     {f.name for f in fields(ClassifyParams)} - _MAP_KEYS) | {"k_values", "n_samples"}
-_SEED_KEYS = {"mode", "x", "y_min", "y_max", "count", "seeds"}
+# [seeds] mode -> the keys that mode reads, besides mode itself
+_SEED_MODE_KEYS = {"list": ("seeds",), "line": ("x", "y_min", "y_max", "count")}
+_SEED_KEYS = {"mode"}.union(*_SEED_MODE_KEYS.values())
 _OUTPUT_KEYS = {"table", "circles", "workers"}
 
 # [map] observable: name -> constructor of the observable.  Each is smooth
@@ -67,8 +69,13 @@ class RunConfig:
         if os.path.isdir(self.table) or not os.path.isdir(os.path.dirname(self.table) or "."):
             raise ConfigError(f"cannot write table {self.table!r}: it is a directory, "
                               "or its directory does not exist")
-        if self.circles and os.path.isfile(self.circles):
-            raise ConfigError(f"circles path {self.circles!r} is a file, not a directory")
+        if self.circles:
+            ancestor = os.path.abspath(self.circles)
+            while not os.path.exists(ancestor):
+                ancestor = os.path.dirname(ancestor)
+            if not os.path.isdir(ancestor):
+                raise ConfigError(f"circles path {self.circles!r} is or lies under a file, "
+                                  "not a directory")
         return self
 
 
@@ -114,25 +121,24 @@ def _parse_seeds(parser):
     if not parser.has_section("seeds"):
         raise ConfigError("missing [seeds] section")
     mode = _get(parser, "seeds", "mode", str, "list").strip()
+    if mode not in _SEED_MODE_KEYS:
+        raise ConfigError(f"unknown seeds mode {mode!r}")
+    keys = _SEED_MODE_KEYS[mode]
+    other = set(parser.options("seeds")) - {"mode", *keys}
+    if other:
+        raise ConfigError(f"[seeds] mode={mode} does not read {', '.join(sorted(other))}")
+    if not all(parser.has_option("seeds", key) for key in keys):
+        raise ConfigError(f"[seeds] mode={mode} requires {', '.join(keys)}")
     if mode == "list":
-        raw = _get(parser, "seeds", "seeds", str, None)
-        if raw is None:
-            raise ConfigError("[seeds] mode=list requires a seeds key")
-        return _parse_seed_list(raw)
-    if mode == "line":
-        x = _get(parser, "seeds", "x", float, None)
-        y_min = _get(parser, "seeds", "y_min", float, None)
-        y_max = _get(parser, "seeds", "y_max", float, None)
-        count = _get(parser, "seeds", "count", int, None)
-        if None in (x, y_min, y_max, count):
-            raise ConfigError("[seeds] mode=line requires x, y_min, y_max, count")
-        if count < 1:
-            raise ConfigError("[seeds] count must be >= 1")
-        if count == 1:
-            return [(x, y_min)]
-        step = (y_max - y_min) / (count - 1)
-        return [(x, y_min + i * step) for i in range(count)]
-    raise ConfigError(f"unknown seeds mode {mode!r}")
+        return _parse_seed_list(parser.get("seeds", "seeds"))
+    x, y_min, y_max = (_get(parser, "seeds", key, float, None) for key in ("x", "y_min", "y_max"))
+    count = _get(parser, "seeds", "count", int, None)
+    if count < 1:
+        raise ConfigError("[seeds] count must be >= 1")
+    if count == 1:
+        return [(x, y_min)]
+    step = (y_max - y_min) / (count - 1)
+    return [(x, y_min + i * step) for i in range(count)]
 
 
 def _parse_k_values(raw):
@@ -146,8 +152,8 @@ def load_config(path):
     """Parse and validate a run configuration file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")

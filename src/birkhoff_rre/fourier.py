@@ -95,40 +95,16 @@ def condition_bound(window, omega, num_modes, gamma=None):
     return math.sqrt((1.0 + 2.0 * gamma) / (1.0 - 2.0 * gamma))
 
 
-def weighted_mode_fit(nodes, samples):
-    """V minimizing ||W^{1/2} (Re(Phi V) - A)||, Phi_{mj} = nodes_j^m.
-
-    A is ``samples`` (N rows), W the bump weights of length N, and V has
-    one row per node.  The fit runs in real arithmetic: for a node
-    r e^{i theta}, Re(r^m e^{i m theta} V_j) = r^m (C cos(m theta) +
-    S sin(m theta)) with V_j = C - iS, so each node gets the column
-    r^m cos(m theta), and a node off the real axis also r^m sin(m theta).
-    A node on the real axis gets a real V_j.  For a real signal, one
-    node z stands for the conjugate pair z, conj(z): their complex
-    coefficients are V_j / 2 and conj(V_j) / 2.
-    """
-    n = samples.shape[0]
-    m = np.arange(n)[:, None]
-    off_axis = nodes.imag != 0
-    phase = m * np.angle(nodes)
-    sqrt_w = np.sqrt(bump_weights(n))[:, None]
-    scale = sqrt_w * np.abs(nodes) ** m
-    basis = np.hstack([scale * np.cos(phase), scale[:, off_axis] * np.sin(phase[:, off_axis])])
-    x, _ = least_squares_solve(basis, sqrt_w * samples, strict_rank=True)
-    v = x[:nodes.shape[0]].astype(complex)
-    v[off_axis] -= 1j * x[nodes.shape[0]:]
-    return v
-
-
 def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
     """Weighted least-squares Fourier coefficients of the trajectory.
 
-    The modes are lambda_l^m with lambda_l = e^{2 pi i omega l} for
-    |l| <= L, and rows carry the bump weights of the full sample length.
-    The fit is real (weighted_mode_fit on l = 0..L), and V_{-l} =
-    conj(V_l) is set from it.  For period > 1 the trajectory must already
-    be the stacked signal (dimension period * D).  ``gamma`` is passed to
-    condition_bound.
+    The modes are e^{2 pi i l omega m}, |l| <= L, and rows carry the bump
+    weights w of the full sample length.  For a real signal the fit runs
+    on the real basis [1, cos(2 pi omega l m), sin(2 pi omega l m)],
+    l = 1..L; coefficients C_0, C_l, S_l give V_0 = C_0, V_l =
+    (C_l - i S_l) / 2 and V_{-l} = conj(V_l).  For period > 1 the
+    trajectory must already be the stacked signal (dimension period * D).
+    ``gamma`` is passed to condition_bound.
     """
     a = trajectory.samples
     n = a.shape[0]
@@ -141,8 +117,12 @@ def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
         raise ContractViolation(
             f"dimension {a.shape[1]} is not a multiple of period {period}"
         )
-    v = weighted_mode_fit(np.exp(2j * math.pi * omega * np.arange(l + 1)), a)
-    coeffs = np.concatenate([v[:0:-1].conj() / 2, v[:1], v[1:] / 2])
+    phase = 2 * math.pi * omega * np.outer(np.arange(n), np.arange(1, l + 1))
+    sqrt_w = np.sqrt(bump_weights(n))[:, None]
+    basis = sqrt_w * np.hstack([np.ones((n, 1)), np.cos(phase), np.sin(phase)])
+    x, _ = least_squares_solve(basis, sqrt_w * a, strict_rank=True)
+    v = (x[1:l + 1] - 1j * x[l + 1:]) / 2
+    coeffs = np.concatenate([v[::-1].conj(), x[:1], v])
     return FourierCircle(
         period=period,
         rotation=float(omega),

@@ -4,10 +4,10 @@ Every solver decision used elsewhere in the package is isolated here.
 Least squares go through one orthogonal-factorization routine,
 ``least_squares_solve`` (never normal equations, which square the
 condition number and destroy the near-machine-precision residuals the
-rest of the pipeline relies on): the filter solve and the real-basis
-mode fits both call it, each with its own rank cutoff.  Eigenvalues go
-through the standard Hessenberg + shifted-QR path.  All functions are
-pure and validate their inputs eagerly.
+rest of the pipeline relies on): the filter solve and the circle fit's
+real Fourier basis both call it, each with its own rank cutoff.
+Eigenvalues go through the standard Hessenberg + shifted-QR path.  All
+functions are pure and validate their inputs eagerly.
 """
 
 import numpy as np
@@ -60,8 +60,8 @@ def least_squares_solve(a, b, strict_rank=False, dtype=float):
 def complex_least_squares_solve(a, b):
     """``least_squares_solve`` in complex arithmetic with ``strict_rank``.
 
-    The package fits its modes in real arithmetic; this complex form of
-    the same solve is the reference those fits are tested against.
+    The package fits its circles in real arithmetic; this complex form
+    of the same solve is the reference that fit is tested against.
     """
     return least_squares_solve(a, b, strict_rank=True, dtype=complex)
 

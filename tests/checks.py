@@ -62,8 +62,8 @@ def complex_mode_fit(nodes, samples):
     """(V, rank) minimizing ||W^{1/2} (Phi V - A)||, Phi_{mj} = nodes_j^m.
 
     The complex Vandermonde fit, one column per node: the reference for
-    the package's real-basis ``weighted_mode_fit``.  A is ``samples``
-    (N rows) and W the bump weights of length N.
+    ``fourier.project_circle``, which fits the real Fourier basis.  A is
+    ``samples`` (N rows) and W the bump weights of length N.
     """
     n = samples.shape[0]
     powers = nodes[None, :] ** np.arange(n)[:, None]

@@ -25,7 +25,8 @@ from checks import CounterMap, IdentityObservable, NanFromObservable
 
 
 def write_config(path, body):
-    path.write_text(body)
+    # a lone surrogate \udcXX in ``body`` becomes the raw byte 0xXX
+    path.write_text(body, encoding="utf-8", errors="surrogateescape")
     return str(path)
 
 
@@ -90,6 +91,12 @@ MALFORMED = [
     ("table is a directory", "table = {tmp}/t.csv", "table = {tmp}"),
     ("circles path is a file", "table = {tmp}/t.csv",
      "table = {tmp}/t.csv\ncircles = {tmp}/taken"),
+    ("circles path under a file", "table = {tmp}/t.csv",
+     "table = {tmp}/t.csv\ncircles = {tmp}/taken/sub"),
+    ("not UTF-8", "name = standard-map", "name = standard-map\udcff\udcfe"),
+    ("line keys in list mode", "seeds = 0.0 0.0;", "x = 3\ncount = 5\nseeds = 0.0 0.0;"),
+    ("list key in line mode", "mode = list",
+     "mode = line\nx = 0.05\ny_min = 0\ny_max = 0.1\ncount = 3"),
 ]
 
 

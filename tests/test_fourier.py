@@ -113,6 +113,19 @@ class TestProjectCircle:
         v, _ = complex_mode_fit(modes, cls.fit_trajectory.samples)
         assert np.abs(circle.coefficients - v).max() <= 1e-10
 
+    def test_matches_complex_reference_on_random_draws(self):
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            omega = rng.uniform(0.05, 0.45)
+            n = int(rng.integers(61, 401))
+            samples = rng.standard_normal((n, int(rng.choice([1, 2, 4]))))
+            l = choose_num_modes(n - 1, omega)[0]
+            circle = project_circle(Trajectory(samples), omega, l)
+            modes = np.exp(2j * np.pi * omega * (np.arange(2 * l + 1) - l))
+            v, rank = complex_mode_fit(modes, samples)
+            assert rank == 2 * l + 1
+            assert np.abs(circle.coefficients - v).max() <= 1e-10 * np.abs(v).max()
+
     def test_near_zero_frequency_condition_bound_fails(self):
         # all 2L+1 modes nearly coincide: the Gershgorin bound fails
         omega = 1e-4
