@@ -106,6 +106,49 @@ def _circle_json(row, circle):
     }
 
 
+def _json_array(leaves, shape, depth):
+    """json's indent=1 text of a nested list of ``shape`` whose leaves, in
+    row-major order, are already spelled; the list sits at indent ``depth``."""
+    if not leaves:
+        return "[]"
+    for axis in reversed(range(len(shape))):
+        pad = "\n" + " " * (depth + axis + 1)
+        head, tail = "[" + pad, "\n" + " " * (depth + axis) + "]"
+        groups = zip(*[iter(leaves)] * shape[axis])
+        leaves = [head + body + tail for body in map(("," + pad).join, groups)]
+    return leaves[0]
+
+
+def _circle_text(payload):
+    """``json.dumps(payload, indent=1, sort_keys=True)`` of a _circle_json payload.
+
+    An indent sends json to its pure-Python encoder; the payload's layout
+    is fixed, so its text is joined here directly.  Scalars still go
+    through json.dumps, which spells a finite float as its repr.
+    """
+    coeffs = np.asarray(payload["coefficients"], dtype=float)
+    spell = float.__repr__ if np.isfinite(coeffs).all() else json.dumps
+    leaves = list(map(spell, coeffs.ravel().tolist()))
+    flags = [json.dumps(flag) for flag in payload["flags"]]
+    seed = [json.dumps(value) for value in payload["seed"]]
+    residuals = {key: json.dumps(value) for key, value in payload["residuals"].items()}
+    return "\n".join([
+        "{",
+        f' "L": {payload["L"]},',
+        f' "coefficients": {_json_array(leaves, coeffs.shape, 1)},',
+        f' "flags": {_json_array(flags, (len(flags),), 1)},',
+        f' "period": {payload["period"]},',
+        ' "residuals": {',
+        f'  "R": {residuals["R"]},',
+        f'  "R_G": {residuals["R_G"]},',
+        f'  "R_p": {residuals["R_p"]}',
+        " },",
+        f' "rotation": {json.dumps(payload["rotation"])},',
+        f' "seed": {_json_array(seed, (len(seed),), 1)}',
+        "}",
+    ])
+
+
 def _classify_one(job):
     # classify_seed is looked up at call time, so a rebinding of it applies
     return classify_seed(*job)
@@ -140,7 +183,7 @@ def run_classify(cfg, out=None):
                 continue
             path = os.path.join(cfg.circles, f"circle_{index:04d}.json")
             with open(path, "w") as handle:
-                json.dump(_circle_json(row, circle), handle, indent=1, sort_keys=True)
+                handle.write(_circle_text(_circle_json(row, circle)))
     failures = sum(1 for row in rows if row["class"] == "error")
     print(f"classified {len(rows)} seeds -> {cfg.table}"
           + (f" ({failures} failures)" if failures else ""), file=out)

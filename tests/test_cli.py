@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from birkhoff_rre import cli
-from birkhoff_rre.cli import _circle_json, classify_seed, figure2_errors, main
+from birkhoff_rre.cli import _circle_json, _circle_text, classify_seed, figure2_errors, main
 from birkhoff_rre.config import OBSERVABLES, RunConfig, load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
@@ -402,12 +402,12 @@ class TestClassifySeed:
         assert payload is None
 
     def test_stalled_row_reports_the_stopping_rung(self):
-        # the first point of the k = 2.0 chaos line stops at K = 150, where
-        # T = 225 windows take 525 map evaluations
+        # the first point of the k = 2.0 chaos line stops at K = 100, where
+        # T = 150 windows take 350 map evaluations
         seed = (0.5, 0.0)
         row, payload = classify_seed(RunConfig(k=2.0, seeds=[seed]), seed)
         assert (row["class"], row["flags"]) == ("chaotic", "stalled")
-        assert (row["K"], row["N"]) == (150, 525)
+        assert (row["K"], row["N"]) == (100, 350)
         assert payload is None
 
     def test_escape_row_counts_evaluations_past_a_bad_observable(self, monkeypatch):
@@ -619,6 +619,37 @@ class TestCircleJson:
         expected = circle_json_reference(row, circle)
         assert (json.dumps(payload, indent=1, sort_keys=True)
                 == json.dumps(expected, indent=1, sort_keys=True))
+
+    @pytest.mark.parametrize("period, num_modes, dimension, flags", [
+        (1, 0, 2, ""),                                  # L = 0
+        (2, 4, 2, "rank_deficient_modes"),              # a period-2 chain
+        (3, 7, 1, "stacked_rational:1/3|periodic_orbit"),  # D = 1, two flags
+    ])
+    def test_text_is_the_json_indent_encoding(self, period, num_modes, dimension, flags):
+        rng = np.random.default_rng(period * 100 + num_modes)
+        shape = (2 * num_modes + 1, period * dimension)
+        circle = FourierCircle(
+            period=period, rotation=0.1 * 3, num_modes=num_modes, dimension=dimension,
+            coefficients=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        row = {"seed_x": 0.05, "seed_y": 0.1 * 7, "R": 1e-12, "R_G": -0.0, "R_p": 3e-9,
+               "flags": flags}
+        payload = _circle_json(row, circle)
+        assert _circle_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+        # json spells the non-finite floats NaN, Infinity and -Infinity
+        circle.coefficients[0, 0] = complex(math.nan, -math.inf)
+        row["R_p"] = math.inf
+        payload = _circle_json(row, circle)
+        assert _circle_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+
+    def test_text_of_line_circles_is_the_json_indent_encoding(self):
+        # a circle, the period-2 chain and a period-3 chain of the k = 0.7 line
+        cfg = RunConfig(k=0.7)
+        for index, period in ((10, 1), (83, 2), (62, 3)):
+            seed = (0.05, index * (0.6 / 99))
+            row, circle = classify_seed(cfg, seed)
+            assert circle.period == period
+            payload = _circle_json(row, circle)
+            assert _circle_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
 
     def test_no_flags_is_an_empty_list(self):
         circle = FourierCircle(period=1, rotation=0.3, num_modes=0, dimension=2,

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birkhoff_rre import rre
 from birkhoff_rre.birkhoff import wba_doubling_residual_at
 from birkhoff_rre.errors import ContractViolation, OrbitEscape
 from birkhoff_rre.maps import (
@@ -19,8 +20,7 @@ from birkhoff_rre.maps import (
     sample_trajectory,
 )
 from birkhoff_rre.rre import (
-    K_EXIT,
-    TAU_EXIT,
+    EXIT_SCHEDULE,
     adaptive_solve,
     build_problem,
     difference_signal,
@@ -32,6 +32,12 @@ from birkhoff_rre.rre import (
 )
 from birkhoff_rre.spectral import ClassifyParams, palindromic_roots
 from checks import wba_feasible_objective
+
+
+def exit_tau(k):
+    """The stall bound EXIT_SCHEDULE sets at rung K, or None below its first K."""
+    taus = [tau for k_exit, tau in EXIT_SCHEDULE if k >= k_exit]
+    return min(taus) if taus else None
 
 
 def central_circle_trajectory(n, seed=(0.1, 0.0), k=0.7):
@@ -232,7 +238,8 @@ class TestAdaptiveSolve:
         assert len(result.history) == 1
 
     def test_chaotic_seed_stops_stalled_before_k_max(self):
-        # R_G is still above TAU_EXIT at K = 150, so the ladder stops there
+        # R_G is 7.0e-8 at K = 100 and 2.6e-5 at K = 150, above the schedule's
+        # 1e-5 there, so the ladder stops at K = 150
         source = TrajectorySource(StandardMap(0.7), EmbeddingObservable(), (0.5, 0.05))
         result = adaptive_solve(source, ClassifyParams(gamma=2, delta_adapt=1e-10,
                                                        k_init=50, k_max=200, delta_k=50))
@@ -240,7 +247,7 @@ class TestAdaptiveSolve:
         assert result.stalled
         assert [rung[0] for rung in result.history] == [50, 100, 150]
         assert result.solution.half_length == 150
-        assert result.solution.scale_free_residual > TAU_EXIT
+        assert result.solution.scale_free_residual > exit_tau(150)
         # cross-check with the long doubling residual: genuinely chaotic
         long = sample_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                  (0.5, 0.05), 20_000)
@@ -295,15 +302,16 @@ class TestAdaptiveSolve:
         assert all(value > params.delta_adapt for value in gate_values[:-1])
 
     def test_chaos_seed_stops_at_k_exit(self):
-        # the first point of the k = 2.0 chaos line: R_G is 8.3e-4 at K = 150
+        # the first point of the k = 2.0 chaos line: R_G is 1.1e-3 at K = 100,
+        # the schedule's first rung
         source = TrajectorySource(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0))
         result = adaptive_solve(source, ClassifyParams())
         assert not result.converged and result.stalled
-        assert K_EXIT == 150
-        assert [entry[0] for entry in result.history] == [50, 100, 150]
-        assert result.history[-1][3] > TAU_EXIT
-        assert result.solution.half_length == K_EXIT
-        assert source.samples_drawn == 526  # T = 225, N = T + 2K + 1
+        assert EXIT_SCHEDULE[0][0] == 100
+        assert [entry[0] for entry in result.history] == [50, 100]
+        assert result.history[-1][3] > exit_tau(100)
+        assert result.solution.half_length == 100
+        assert source.samples_drawn == 351  # T = 150, N = T + 2K + 1
 
     def test_default_run_configuration(self):
         params = ClassifyParams()
@@ -313,6 +321,59 @@ class TestAdaptiveSolve:
         assert params.k_init == 50
         assert params.k_max == 600
         assert params.delta_k == 50
+
+
+class TestExitSchedule:
+    """The ladder's exits, fed R_G sequences through a stand-in ``solve_at``."""
+
+    PARAMS = ClassifyParams(k_init=10, delta_k=10, k_max=600)
+
+    def run(self, monkeypatch, gate):
+        def fake_solve_at(source, half_length, params):
+            solution = gate_only_solution(half_length, gate(half_length))
+            return Trajectory(np.zeros((3 * half_length + 1, 1))), solution
+
+        monkeypatch.setattr(rre, "solve_at", fake_solve_at)
+        return adaptive_solve(None, self.PARAMS)
+
+    def test_schedule_is_sorted_and_tightens(self):
+        ks = [k for k, _ in EXIT_SCHEDULE]
+        taus = [tau for _, tau in EXIT_SCHEDULE]
+        assert ks == sorted(ks) and len(set(ks)) == len(ks)
+        assert all(later <= earlier for earlier, later in zip(taus, taus[1:]))
+        assert all(k % self.PARAMS.delta_k == 0 for k in ks)
+
+    @pytest.mark.parametrize("k_exit, tau", EXIT_SCHEDULE)
+    def test_residual_at_the_bound_climbs_and_the_next_double_stops(self, monkeypatch,
+                                                                    k_exit, tau):
+        # every other rung sits exactly on its own bound, 1 below the first K
+        def gate(k, at_rung):
+            return at_rung if k == k_exit else (exit_tau(k) or 1.0)
+
+        result = self.run(monkeypatch, lambda k: gate(k, tau))
+        assert not result.converged and not result.stalled
+        assert result.history[-1][0] == self.PARAMS.k_max
+        result = self.run(monkeypatch, lambda k: gate(k, np.nextafter(tau, np.inf)))
+        assert not result.converged and result.stalled
+        assert result.history[-1][0] == result.solution.half_length == k_exit
+
+    def test_no_exit_below_the_first_rung(self, monkeypatch):
+        result = self.run(monkeypatch, lambda k: 1.0)
+        first = EXIT_SCHEDULE[0][0]
+        assert result.stalled
+        assert [entry[0] for entry in result.history] == list(range(10, first + 1, 10))
+
+    def test_nan_residual_runs_to_k_max_unflagged(self, monkeypatch):
+        result = self.run(monkeypatch, lambda k: math.nan)
+        assert not result.converged and not result.stalled
+        assert [entry[0] for entry in result.history] == list(range(10, 601, 10))
+
+
+def gate_only_solution(half_length, r_g):
+    """A FilterSolution carrying only what adaptive_solve reads."""
+    return rre.FilterSolution(coefficients=np.ones(1), residual=r_g, scale_free_residual=r_g,
+                              signal_scale=1.0, half_length=half_length, window_count=1,
+                              epsilon=0.0)
 
 
 class TestStackedShape:

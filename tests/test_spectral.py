@@ -402,8 +402,9 @@ class TestClassify:
         assert cls.tag == "chaotic"
 
     def test_nan_residual_climbs_the_ladder_and_fails_closed(self, monkeypatch):
-        # a nan R_G is never above TAU_EXIT either: the ladder runs to k_max,
-        # past K_EXIT, and the row is chaotic without the stalled flag
+        # a nan R_G is never above a bound of rre.EXIT_SCHEDULE either: the
+        # ladder runs to k_max, past its rungs, and the row is chaotic without
+        # the stalled flag
         solve_at = rre.solve_at
 
         def nan_solve_at(source, half_length, params):
@@ -423,7 +424,8 @@ class TestClassify:
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.2))
         assert (cls.tag, cls.period, cls.flags) == ("integrable", 1, [])
         assert cls.diagnostics["K"] >= 500
-        assert all(entry[3] <= rre.TAU_EXIT for entry in cls.diagnostics["history"])
+        for k, _, _, r_g in cls.diagnostics["history"]:
+            assert all(r_g <= tau for k_exit, tau in rre.EXIT_SCHEDULE if k >= k_exit)
 
     @pytest.mark.parametrize("name", ["delta_adapt", "eps_rat"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-8])
