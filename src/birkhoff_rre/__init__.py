@@ -8,9 +8,10 @@ and rotation number, and a weighted mode projection recovers the
 circle parameterizations.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS``
-to 1 unless the caller has set them.  The BLAS libraries read them when
-numpy and scipy load, so the policy holds only where this package is
-imported first: the ``birkhoff-rre`` command always is.  One thread per
+to 1 unless the caller has set them.  numpy's BLAS library reads them
+when numpy loads, so the policy holds only where this package is
+imported first: the ``birkhoff-rre`` command always is.  numpy is the
+package's only runtime dependency.  One thread per
 process suits problems of at most a few thousand rows, and parallelism
 comes from the ``[output] workers`` processes, which inherit the setting.
 """

@@ -5,24 +5,95 @@ Least squares go through one orthogonal-factorization routine,
 ``least_squares_solve`` (never normal equations, which square the
 condition number and destroy the near-machine-precision residuals the
 rest of the pipeline relies on): the filter solve and the circle fit's
-real Fourier basis both call it, each with its own rank cutoff.
-Eigenvalues go through the standard Hessenberg + shifted-QR path.  All
-functions are pure and validate their inputs eagerly.
+real Fourier basis both call it, each with its own rank cutoff.  It
+makes one unpivoted QR factorization, back-substitutes on its triangle
+and falls back to an SVD of that triangle only when the triangle may be
+rank deficient.  Eigenvalues go through the standard Hessenberg +
+shifted-QR path.  All functions are pure and validate their inputs
+eagerly.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractViolation, SolverFailure
+
+EPS = np.finfo(float).eps
+# The filter solve's rank cutoff.  At eps itself the truncated SVD kept
+# singular values within rounding of the cutoff (1.35 eps on a converged
+# K = 50 filter of k = 2.0, (0.5, 0.4923)), which put that period-2
+# chain's z = -1 root 1.2e-7 from 1/2, outside the island test's window.
+FILTER_CUTOFF = 2.0 * EPS
+BLOCK = 64   # rows per back-substitution step
+PROBES = 2   # random columns of the condition estimate
+
+
+def _all_finite(a):
+    # One pass: a sum is finite only if every entry is.  It can also
+    # overflow on finite entries, so that case is checked entry by entry.
+    return bool(np.isfinite(a.sum()) or np.isfinite(a).all())
 
 
 def _as_matrix(a, name, dtype):
     a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ContractViolation(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise ContractViolation(f"{name} contains non-finite entries")
     return a
+
+
+def _back_substitute(r, y):
+    """R^-1 y for an upper-triangular R, BLOCK rows at a time from the bottom."""
+    x = np.empty_like(y)
+    stop = r.shape[0]
+    for start in range((stop - 1) // BLOCK * BLOCK, -1, -BLOCK):
+        x[start:stop] = np.linalg.solve(
+            r[start:stop, start:stop], y[start:stop] - r[start:stop, stop:] @ x[stop:])
+        stop = start
+    return x
+
+
+def _solve_triangle(r, y, cutoff):
+    """R^-1 y, or None when R may have a condition number of 1 / cutoff or more.
+
+    The condition estimate rides along the back-substitution as PROBES
+    Gaussian columns g.  |R^-1 g| is at least |u . g| |R^-1|_2, with
+    u . g standard normal, so the larger of the two falls below
+    |R^-1|_2 / 10 with probability under 0.01; and it is rarely much
+    above |R^-1|_F <= sqrt(n) |R^-1|_2.  |R|_F lies between |R|_2 and
+    sqrt(n) |R|_2.  The triangle is turned away when the product of the
+    two reaches a tenth of 1 / cutoff, so a rank-deficient triangle gets
+    through with probability under 0.01, and a full-rank one is turned
+    away only when its condition number is within about 10 n of 1 / cutoff.
+    """
+    columns = y.shape[1]
+    # a fixed draw for each size, so the solve is deterministic
+    probes = np.random.default_rng(r.shape[0]).standard_normal((r.shape[0], PROBES))
+    with np.errstate(all="ignore"):
+        try:
+            z = _back_substitute(r, np.column_stack((y, probes)))
+        except np.linalg.LinAlgError:  # an exactly singular block
+            return None
+        estimate = np.linalg.norm(r) * np.linalg.norm(z[:, columns:], axis=0).max()
+    if not (10.0 * estimate * cutoff < 1.0 and np.isfinite(z).all()):
+        return None
+    return z[:, :columns]
+
+
+def _truncated_svd_solve(r, y, cutoff):
+    """Minimum-norm solution over the singular values above cutoff times the largest.
+
+    Formed from the SVD itself: LAPACK's gelsd (``np.linalg.lstsq``)
+    chooses the same rank, but on converged filter triangles its solution
+    left a residual up to ten times larger.  Returns (solution, rank).
+    """
+    try:
+        u, s, vt = np.linalg.svd(r)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
+        raise SolverFailure(f"SVD did not converge: {exc}") from exc
+    rank = int(np.count_nonzero(s > cutoff * s[0]))
+    x = vt[:rank].conj().T @ ((u[:, :rank].conj().T @ y) / s[:rank, None])
+    return x, rank
 
 
 def least_squares_solve(a, b, strict_rank=False, dtype=float):
@@ -30,15 +101,17 @@ def least_squares_solve(a, b, strict_rank=False, dtype=float):
 
     ``a`` is m-by-n with m >= n; ``b`` is a vector of length m or an
     m-row matrix of stacked right-hand sides, and the solution has as
-    many dimensions as ``b``.  Uses a complete orthogonal factorization
-    (LAPACK gelsy), which returns the minimum-norm minimizer when ``a``
-    is rank deficient.  Returns ``(solution, rank)``: ``rank`` is the
-    effective rank that gelsy's pivoted QR settles on.  Singular values
-    estimated below eps times the largest count as zero -- gelsy's
-    default, which the filter solve needs near convergence -- or, with
-    ``strict_rank``, below max(m, n) * eps, the tolerance of
-    ``np.linalg.matrix_rank``: eps alone can call a Vandermonde matrix
-    with a repeated node full rank.
+    many dimensions as ``b``.  One unpivoted QR factorization of
+    ``[a | b]`` gives the triangle R of ``a`` and the rotated right-hand
+    sides y, with |a x - b|^2 = |R x - y|^2 plus a constant, so both
+    problems have the same minimizers.  The solution is R^-1 y, by
+    back-substitution, unless a condition estimate says R may be rank
+    deficient; then it is the minimum-norm minimizer from an SVD of R.
+    Returns ``(solution, rank)``.  Singular values below FILTER_CUTOFF
+    (2 eps) times the largest count as zero, the cutoff the filter solve
+    needs near convergence, or, with ``strict_rank``, below
+    max(m, n) * eps, the tolerance of ``np.linalg.matrix_rank``: eps
+    alone can call a Vandermonde matrix with a repeated node full rank.
     """
     a = _as_matrix(a, "a", dtype)
     b = np.asarray(b, dtype=dtype)
@@ -49,12 +122,19 @@ def least_squares_solve(a, b, strict_rank=False, dtype=float):
         raise ContractViolation(f"need m >= n, got {m} x {n}")
     if b.shape[0] != m:
         raise ContractViolation(f"b has {b.shape[0]} rows, expected {m}")
-    if not np.all(np.isfinite(b)):
+    if not _all_finite(b):
         raise ContractViolation("b contains non-finite entries")
-    cond = max(m, n) * np.finfo(float).eps if strict_rank else None
-    x, _, rank, _ = scipy.linalg.lstsq(a, b, cond=cond, lapack_driver="gelsy",
-                                       check_finite=False)
-    return x, int(rank)
+    # column-major, the layout LAPACK factors
+    augmented = np.empty((m, n + (b.shape[1] if b.ndim == 2 else 1)), dtype, order="F")
+    augmented[:, :n] = a
+    augmented[:, n:] = b.reshape(m, -1)
+    tri = np.linalg.qr(augmented, mode="r")
+    r, y = tri[:n, :n], tri[:n, n:]
+    cutoff = max(m, n) * EPS if strict_rank else FILTER_CUTOFF
+    x, rank = _solve_triangle(r, y, cutoff), n
+    if x is None:
+        x, rank = _truncated_svd_solve(r, y, cutoff)
+    return (x[:, 0] if b.ndim == 1 else x), rank
 
 
 def complex_least_squares_solve(a, b):
@@ -76,6 +156,7 @@ def real_eigenvalues(m):
     if m.shape[0] != m.shape[1]:
         raise ContractViolation(f"m must be square, got {m.shape}")
     try:
-        return scipy.linalg.eigvals(m, check_finite=False)
+        # numpy returns a real array when every eigenvalue is real
+        return np.linalg.eigvals(m).astype(complex)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
         raise SolverFailure(f"eigenvalue iteration failed: {exc}") from exc

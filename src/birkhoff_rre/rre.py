@@ -24,19 +24,20 @@ block becomes sqrt(epsilon) I; otherwise the wildly varying window
 weights make the stacked system numerically unsolvable.  Either way the
 minimizer is identical to the stated problem's.
 
-The weighted, folded data matrix A, T*D rows tall (about 3(K+1) at the
-defaults), is first replaced by the triangle R of its unpivoted QR
-factorization, at most K+1 rows.  |A y| = |R y| for every y, so the
-objective, the set of minimizers and the minimum-norm minimizer do not
-change, and the rank-revealing least-squares solve runs on a
-(K+1)-by-K matrix instead of a (T*D)-by-K one.
+The eliminated system, T*D rows tall (about 3(K+1) at the defaults)
+and K columns, goes with its right-hand side to
+``numerics.least_squares_solve``, which factors the two together with
+one unpivoted QR.  Its triangle is at most K+1 rows and gives the same
+minimizers, so the rest of the solve is O(K^2) back-substitution, and
+an SVD of that K-by-K triangle when it is rank deficient, as it is near
+convergence.  There the minimum-norm minimizer keeps the filter roots
+clean.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .birkhoff import bump_weights
@@ -140,11 +141,15 @@ def _fold(hankel, k):
     """Fold the Hankel columns onto the K+1 palindromic coordinates.
 
     The fold d_0 = c_K, d_j = (c_{K+j} + c_{K-j}) / sqrt(2) is an
-    isometry on palindromic vectors, so |W^(1/2) U c| = |A d|.
+    isometry on palindromic vectors, so |W^(1/2) U c| = |A d|.  Returns
+    A transposed, (K+1, T*D): each Hankel column is a contiguous run of
+    the signal, so the sums read and write memory in order.
     """
-    folded = np.empty((hankel.shape[0], k + 1))
-    folded[:, 0] = hankel[:, k]
-    folded[:, 1:] = (hankel[:, k + 1:] + hankel[:, k - 1::-1]) / SQRT2
+    columns = hankel.T
+    folded = np.empty((k + 1, hankel.shape[0]))
+    folded[0] = columns[k]
+    np.add(columns[k + 1:], columns[k - 1::-1], out=folded[1:])
+    folded[1:] /= SQRT2
     return folded
 
 
@@ -194,40 +199,43 @@ def scale_free_residual(residual, epsilon, signal_scale):
 def solve_filter(problem):
     """Solve for the optimal palindromic mean-one filter.
 
-    The weighted, folded data matrix A is replaced by the triangle R of
-    its QR factorization (|A y| = |R y|), and the mean-one constraint
-    v . d = 1 is eliminated with the particular solution v / |v|^2 plus
+    The mean-one constraint v . d = 1 on the weighted, folded data
+    matrix A is eliminated with the particular solution v / |v|^2 plus
     K coordinates x along the Householder basis of v-perp.  The
     particular solution is orthogonal to that basis, so the
     regularization block on x is sqrt(epsilon) I_K (absent when epsilon
     is 0) and the rest of the penalty is the constant epsilon / |v|^2.
-    The (K+1)-by-K system goes to the rank-revealing solver, which keeps
-    the minimum-norm minimizer near convergence.
+    The (T*D)-by-K system goes to the rank-revealing solver, one QR
+    factorization, which keeps the minimum-norm minimizer near
+    convergence.
 
     Returns a FilterSolution whose ``residual`` is the square root of
     the attained objective (data misfit plus regularization), measured
-    on the uncompressed data, and whose ``scale_free_residual`` divides
+    on the data itself, and whose ``scale_free_residual`` divides
     out the weighted energy G of the difference signal.
     """
     k, t, d = problem.half_length, problem.window_count, problem.dimension
     eps = problem.epsilon
     sqrt_row = np.repeat(np.sqrt(problem.row_weights), d)
-    top = sqrt_row[:, None] * _fold(problem.hankel, k)
-    # min(T*D, K+1) rows, and |top y| = |tri y| for every y
-    tri = scipy.linalg.qr(top, mode="raw", check_finite=False)[1]
+    # A and the system are held transposed, one row per column, and each
+    # is built in place: a fresh temporary of their size costs more than
+    # the arithmetic
+    top = _fold(problem.hankel, k)
+    top *= sqrt_row
     scale = np.sqrt(problem.tap_weights[k:]) if eps > 0.0 else np.ones(k + 1)
-    scaled_tri = tri * scale[None, :]
+    scaled_top = top * scale[:, None] if eps > 0.0 else top
     constraint = np.full(k + 1, SQRT2)
     constraint[0] = 1.0
     v = scale * constraint
     h, beta = _householder(v)
     particular = v / (v @ v)
-    system = scaled_tri[:, 1:] - np.outer(scaled_tri @ h, beta * h[1:])
-    rhs = -(scaled_tri @ particular)
+    system = np.outer(beta * h[1:], h @ scaled_top)
+    np.subtract(scaled_top[1:], system, out=system)
+    rhs = -(particular @ scaled_top)
     if eps > 0.0:
-        system = np.vstack([system, math.sqrt(eps) * np.eye(k)])
+        system = np.hstack([system, math.sqrt(eps) * np.eye(k)])
         rhs = np.concatenate([rhs, np.zeros(k)])
-    x, _ = least_squares_solve(system, rhs)
+    x, _ = least_squares_solve(system.T, rhs)
     scaled = particular - (beta * (h[1:] @ x)) * h
     scaled[1:] += x
     d_vec = scale * scaled
@@ -235,7 +243,7 @@ def solve_filter(problem):
     # the residual's trailing digits.  With two BLAS threads the gemv right
     # after the threaded QR also stalled, 8 ms against 0.7 ms at K = 600 on
     # a 2-core host; the package's default is one thread per process
-    misfit = np.einsum("ij,j->i", top, d_vec)
+    misfit = np.einsum("ji,j->i", top, d_vec)
     r_squared = float(misfit @ misfit) + eps * float(scaled @ scaled)
     # weighted energy of the first T difference vectors (Hankel column 0)
     u_rows = problem.hankel[:, 0].reshape(t, d)

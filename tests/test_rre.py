@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoff_rre import rre
+from birkhoff_rre import fourier, numerics, rre
 from birkhoff_rre.birkhoff import wba_doubling_residual_at
 from birkhoff_rre.errors import ContractViolation, OrbitEscape
 from birkhoff_rre.maps import (
@@ -30,7 +30,7 @@ from birkhoff_rre.rre import (
     stacked_shape,
     symmetrized_tap_weights,
 )
-from birkhoff_rre.spectral import ClassifyParams, palindromic_roots
+from birkhoff_rre.spectral import ClassifyParams, classify_trajectory, palindromic_roots
 from checks import wba_feasible_objective
 
 
@@ -185,8 +185,9 @@ def dense_reference(problem):
 
 
 class TestCompressedSolve:
-    """solve_filter works on the QR triangle of its data with an implicit
-    reflector; the dense full-height solve must give the same filter."""
+    """solve_filter eliminates the mean constraint with an implicit
+    reflector and factors the system once; the dense full-height solve
+    must give the same filter."""
 
     @staticmethod
     def assert_matches_dense(problem, tol=1e-10):
@@ -198,7 +199,7 @@ class TestCompressedSolve:
 
     @pytest.mark.parametrize("eps", [0.0, 1e-8])
     def test_chaotic_seed(self, eps):
-        # K = 100, T = 150, D = 2: 300 rows compress to 101
+        # K = 100, T = 150, D = 2: 300 rows, whose triangle has 101
         traj = sample_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.3, 0.2), 351)
         problem = build_problem(difference_signal(traj), 100, 150, eps)
         self.assert_matches_dense(problem)
@@ -210,6 +211,79 @@ class TestCompressedSolve:
         problem = build_problem(difference_signal(traj), 21, 11, eps)
         assert problem.hankel.shape[0] == 22
         self.assert_matches_dense(problem)
+
+
+def last_solve(monkeypatch, run):
+    """(a, b, keyword arguments) of the last least_squares_solve call of run()."""
+    calls = []
+
+    def record(a, b, **kwargs):
+        calls.append((np.array(a), np.array(b), kwargs))
+        return numerics.least_squares_solve(a, b, **kwargs)
+
+    monkeypatch.setattr(rre, "least_squares_solve", record)
+    monkeypatch.setattr(fourier, "least_squares_solve", record)
+    run()
+    return calls[-1]
+
+
+def gelsy_reference(a, b, strict_rank=False):
+    """LAPACK gelsy on the full-height system, at its default cutoff eps,
+    or at max(m, n) * eps with strict_rank."""
+    cond = max(a.shape) * np.finfo(float).eps if strict_rank else None
+    x, _, rank, _ = scipy.linalg.lstsq(a, b, cond=cond, lapack_driver="gelsy")
+    return x, rank
+
+
+class TestSolvePaths:
+    """least_squares_solve back-substitutes on a full-rank triangle and
+    takes a truncated SVD of a rank-deficient one; both are checked
+    against gelsy on the system the package really solves."""
+
+    @staticmethod
+    def residual(a, b, x):
+        return np.linalg.norm(a @ x - b)
+
+    def assert_full_rank_matches_gelsy(self, a, b, kwargs):
+        x, rank = numerics.least_squares_solve(a, b, **kwargs)
+        reference, reference_rank = gelsy_reference(a, b, **kwargs)
+        assert rank == reference_rank == a.shape[1]
+        # a full-rank solve is unique: the two agree to rounding, and the
+        # residuals, down at 1e-10 |b| on a circle fit, to the data's rounding
+        residual_gap = abs(self.residual(a, b, x) - self.residual(a, b, reference))
+        assert residual_gap <= 1e-12 * np.linalg.norm(b)
+        assert abs(np.linalg.norm(x) / np.linalg.norm(reference) - 1.0) <= 1e-10
+        assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
+
+    def test_full_rank_filter_rung(self, monkeypatch):
+        traj = sample_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.3, 0.2), 351)
+        problem = build_problem(difference_signal(traj), 100, 150)
+        a, b, kwargs = last_solve(monkeypatch, lambda: solve_filter(problem))
+        assert a.shape == (300, 100)
+        self.assert_full_rank_matches_gelsy(a, b, kwargs)
+
+    def test_full_rank_circle_fit(self, monkeypatch):
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.3))
+        a, b, kwargs = last_solve(monkeypatch, lambda: fourier.fit_circle(cls))
+        assert kwargs == {"strict_rank": True} and b.ndim == 2
+        self.assert_full_rank_matches_gelsy(a, b, kwargs)
+
+    @pytest.mark.parametrize("seed", [(0.05, 0.0), (0.05, 0.1)])
+    def test_rank_deficient_circle_rung(self, monkeypatch, seed):
+        # a circle's filter annihilates its signal at K = 50, and the triangle
+        # keeps about half its rank.  The minimum-norm solution over the
+        # singular values above 2 eps drops more directions than gelsy at
+        # eps, so its residual is larger, by 1.5x and 1.9x here, and its norm
+        # smaller, by 0.79x and 0.84x.  Back-substituting the same triangle
+        # gives a norm 2.5x and 2.2x gelsy's instead.
+        traj = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), seed, 176)
+        problem = build_problem(difference_signal(traj), 50, 75)
+        a, b, kwargs = last_solve(monkeypatch, lambda: solve_filter(problem))
+        x, rank = numerics.least_squares_solve(a, b, **kwargs)
+        reference, reference_rank = gelsy_reference(a, b, **kwargs)
+        assert self.residual(a, b, x) <= 4.0 * self.residual(a, b, reference)
+        assert np.linalg.norm(x) <= 1.2 * np.linalg.norm(reference)
+        assert rank <= reference_rank < a.shape[1]
 
 
 class TestScaleFreeResidual:
