@@ -21,6 +21,7 @@ from .numerics import least_squares_solve
 
 GAMMA_MAX = 0.5        # choose_num_modes keeps gamma_L below this
 VALIDATION_GRID = 128  # J, the validation_residual grid size
+MODE_BLOCK = 32        # modes whose phases project_circle holds at once
 
 
 @dataclass
@@ -117,10 +118,22 @@ def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
         raise ContractViolation(
             f"dimension {a.shape[1]} is not a multiple of period {period}"
         )
-    phase = 2 * math.pi * omega * np.outer(np.arange(n), np.arange(1, l + 1))
-    sqrt_w = np.sqrt(bump_weights(n))[:, None]
-    basis = sqrt_w * np.hstack([np.ones((n, 1)), np.cos(phase), np.sin(phase)])
-    x, _ = least_squares_solve(basis, sqrt_w * a, strict_rank=True)
+    sqrt_w = np.sqrt(bump_weights(n))
+    # [1, cos, sin | a], each column times sqrt(w), written straight into the
+    # buffer the solve factors, a block of modes at a time
+    augmented = np.empty((n, 2 * l + 1 + a.shape[1]), order="F")
+    augmented[:, 0] = sqrt_w
+    step = 2 * math.pi * omega
+    for start in range(1, l + 1, MODE_BLOCK):
+        stop = min(start + MODE_BLOCK, l + 1)
+        # transposed, so the phases run down each column as the buffer does
+        phase = (step * np.multiply.outer(np.arange(start, stop), np.arange(n))).T
+        for offset, wave in ((0, np.cos), (l, np.sin)):
+            block = augmented[:, offset + start:offset + stop]
+            wave(phase, out=block)
+            block *= sqrt_w[:, None]
+    np.multiply(sqrt_w[:, None], a, out=augmented[:, 2 * l + 1:])
+    x, _ = least_squares_solve(augmented, 2 * l + 1, strict_rank=True)
     v = (x[1:l + 1] - 1j * x[l + 1:]) / 2
     coeffs = np.concatenate([v[::-1].conj(), x[:1], v])
     return FourierCircle(
@@ -133,6 +146,23 @@ def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
     )
 
 
+def _mode_phases(num_modes, theta):
+    """e^{2 pi i l theta} for |l| <= L, one row per angle of ``theta``."""
+    thetas = np.asarray(theta, dtype=float)
+    return np.exp(2j * math.pi * np.multiply.outer(thetas, np.arange(2 * num_modes + 1)
+                                                   - num_modes))
+
+
+def _component_value(circle, component, phases):
+    """Real values of island component j at the angles whose ``phases`` are given."""
+    if not 1 <= component <= circle.period:
+        raise ContractViolation(
+            f"component {component} out of range 1..{circle.period}"
+        )
+    d = circle.dimension
+    return (phases @ circle.coefficients[:, (component - 1) * d:component * d]).real
+
+
 def eval_circle(circle, component, theta):
     """Real value of island component j at angle theta in [0, 1).
 
@@ -140,16 +170,7 @@ def eval_circle(circle, component, theta):
     giving one value of shape (D,), or an array of angles, giving one
     row per angle.
     """
-    if not 1 <= component <= circle.period:
-        raise ContractViolation(
-            f"component {component} out of range 1..{circle.period}"
-        )
-    l = circle.num_modes
-    d = circle.dimension
-    block = circle.coefficients[:, (component - 1) * d:component * d]
-    thetas = np.asarray(theta, dtype=float)
-    phases = np.exp(2j * math.pi * np.multiply.outer(thetas, np.arange(2 * l + 1) - l))
-    return (phases @ block).real
+    return _component_value(circle, component, _mode_phases(circle.num_modes, theta))
 
 
 def make_observable_advance(dynamical_map, observable):
@@ -186,7 +207,8 @@ def validation_residual(circle, advance):
     """
     p = circle.period
     thetas = np.arange(VALIDATION_GRID) / VALIDATION_GRID
-    values = [eval_circle(circle, j + 1, thetas) for j in range(p)]
+    phases = _mode_phases(circle.num_modes, thetas)  # shared by every component
+    values = [_component_value(circle, j + 1, phases) for j in range(p)]
     # component i is carried onto i + 1, and the last onto the rotated first
     targets = values[1:] + [eval_circle(circle, 1, (thetas + circle.rotation) % 1.0)]
     images = np.stack([advance(block) for block in values], axis=1)  # (J, p, D)

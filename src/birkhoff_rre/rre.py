@@ -25,13 +25,16 @@ weights make the stacked system numerically unsolvable.  Either way the
 minimizer is identical to the stated problem's.
 
 The eliminated system, T*D rows tall (about 3(K+1) at the defaults)
-and K columns, goes with its right-hand side to
-``numerics.least_squares_solve``, which factors the two together with
-one unpivoted QR.  Its triangle is at most K+1 rows and gives the same
-minimizers, so the rest of the solve is O(K^2) back-substitution, and
-an SVD of that K-by-K triangle when it is rank deficient, as it is near
-convergence.  There the minimum-norm minimizer keeps the filter roots
-clean.
+and K columns, is written with its right-hand side straight into the
+one column-major buffer that ``numerics.least_squares_solve`` factors
+with one unpivoted QR: the folded data is weighted in place there, and
+its rows move up by one as the reflector is applied, so no other array
+of the system's size is alive while LAPACK factors.  The folded data is
+formed again, bit for bit, for the residual.  The triangle is at most
+K+1 rows and gives the same minimizers, so the rest of the solve is
+O(K^2) back-substitution, and an SVD of that K-by-K triangle when it is
+rank deficient, as it is near convergence.  There the minimum-norm
+minimizer keeps the filter roots clean.
 """
 
 import math
@@ -56,6 +59,7 @@ SQRT2 = math.sqrt(2.0)
 # converged was 1.7e-5 at K >= 100, 1.1e-6 at K >= 150, 1.5e-7 at K >= 250
 # and 1.3e-8 at K >= 400: margins of 5.9x, 8.8x, 6.5x and 7.5x.
 EXIT_SCHEDULE = ((100, 1e-4), (150, 1e-5), (250, 1e-6), (400, 1e-7))
+SHIFT_ROWS = 32  # rows of the eliminated system moved per step (_eliminated_system)
 
 
 def difference_signal(trajectory):
@@ -137,16 +141,17 @@ def build_problem(u, half_length, window_count, epsilon=0.0):
     )
 
 
-def _fold(hankel, k):
+def _fold(hankel, k, out=None):
     """Fold the Hankel columns onto the K+1 palindromic coordinates.
 
     The fold d_0 = c_K, d_j = (c_{K+j} + c_{K-j}) / sqrt(2) is an
     isometry on palindromic vectors, so |W^(1/2) U c| = |A d|.  Returns
-    A transposed, (K+1, T*D): each Hankel column is a contiguous run of
-    the signal, so the sums read and write memory in order.
+    A transposed, (K+1, T*D), written into ``out`` when given: each
+    Hankel column is a contiguous run of the signal, so the sums read
+    and write memory in order.
     """
     columns = hankel.T
-    folded = np.empty((k + 1, hankel.shape[0]))
+    folded = np.empty((k + 1, hankel.shape[0])) if out is None else out
     folded[0] = columns[k]
     np.add(columns[k + 1:], columns[k - 1::-1], out=folded[1:])
     folded[1:] /= SQRT2
@@ -196,6 +201,39 @@ def scale_free_residual(residual, epsilon, signal_scale):
     return math.sqrt(max(residual * residual - epsilon, 0.0)) / signal_scale
 
 
+def _eliminated_system(problem, sqrt_row, scale, h, beta, particular):
+    """The column-major buffer [system | rhs] of the eliminated least squares.
+
+    The system is the scaled, folded data A (times ``scale`` when
+    epsilon > 0) with the Householder basis of v-perp applied, T*D rows
+    and K columns, over the K-by-K block sqrt(epsilon) I when epsilon > 0;
+    the right-hand side is -A times the particular solution, over zeros.
+    Everything is written in place into the one buffer LAPACK factors,
+    held transposed so that each of its columns is a contiguous row here.
+    """
+    k, eps = problem.half_length, problem.epsilon
+    data_rows = problem.hankel.shape[0]
+    columns = np.empty((k + 1, data_rows + (k if eps > 0.0 else 0)))
+    top = _fold(problem.hankel, k, out=columns[:, :data_rows])
+    top *= sqrt_row
+    if eps > 0.0:
+        top *= scale[:, None]
+    projected = h @ top
+    rhs = particular @ top
+    # column j of the system is row j + 1 of A less beta h_{j+1} (h @ A): the
+    # rows move up by one, SHIFT_ROWS at a time, so the one temporary is a block
+    for start in range(0, k, SHIFT_ROWS):
+        stop = min(start + SHIFT_ROWS, k)
+        block = np.outer(beta * h[start + 1:stop + 1], projected)
+        np.subtract(top[start + 1:stop + 1], block, out=block)
+        top[start:stop] = block
+    np.negative(rhs, out=top[k])
+    if eps > 0.0:
+        columns[:, data_rows:] = 0.0
+        np.fill_diagonal(columns[:k, data_rows:], math.sqrt(eps))
+    return columns.T
+
+
 def solve_filter(problem):
     """Solve for the optimal palindromic mean-one filter.
 
@@ -217,28 +255,22 @@ def solve_filter(problem):
     k, t, d = problem.half_length, problem.window_count, problem.dimension
     eps = problem.epsilon
     sqrt_row = np.repeat(np.sqrt(problem.row_weights), d)
-    # A and the system are held transposed, one row per column, and each
-    # is built in place: a fresh temporary of their size costs more than
-    # the arithmetic
-    top = _fold(problem.hankel, k)
-    top *= sqrt_row
     scale = np.sqrt(problem.tap_weights[k:]) if eps > 0.0 else np.ones(k + 1)
-    scaled_top = top * scale[:, None] if eps > 0.0 else top
     constraint = np.full(k + 1, SQRT2)
     constraint[0] = 1.0
     v = scale * constraint
     h, beta = _householder(v)
     particular = v / (v @ v)
-    system = np.outer(beta * h[1:], h @ scaled_top)
-    np.subtract(scaled_top[1:], system, out=system)
-    rhs = -(particular @ scaled_top)
-    if eps > 0.0:
-        system = np.hstack([system, math.sqrt(eps) * np.eye(k)])
-        rhs = np.concatenate([rhs, np.zeros(k)])
-    x, _ = least_squares_solve(system.T, rhs)
+    x, _ = least_squares_solve(_eliminated_system(problem, sqrt_row, scale, h, beta,
+                                                  particular), k)
+    x = x[:, 0]
     scaled = particular - (beta * (h[1:] @ x)) * h
     scaled[1:] += x
     d_vec = scale * scaled
+    # A again, bit for bit: the buffer that held it is gone, and a copy kept
+    # through the solve would be one more array of the system's size
+    top = _fold(problem.hankel, k)
+    top *= sqrt_row
     # einsum, not a BLAS gemv, which sums in another order and would move
     # the residual's trailing digits.  With two BLAS threads the gemv right
     # after the threaded QR also stalled, 8 ms against 0.7 ms at K = 600 on

@@ -143,6 +143,26 @@ class ModeEntry:
 
 
 _CONSTANT_ROOT_TOL = 1e-9
+NODE_BLOCK = 64  # nodes whose powers mode_prominence holds at once
+
+
+def _projection_squared(columns, block):
+    """sum_d |sum_t columns[d, t] block^t|^2 for each node of ``block``.
+
+    The powers block^t are formed by doubling: rows [m, 2m) are rows
+    [0, m) times block^m, about log2(n) roundings per entry, and 30x
+    faster than a complex exp.
+    """
+    n = columns.shape[1]
+    powers = np.empty((n, block.shape[0]), dtype=complex)
+    powers[0] = 1.0
+    filled = 1
+    while filled < n:
+        count = min(filled, n - filled)
+        np.multiply(powers[:count], powers[filled - 1] * block,
+                    out=powers[filled:filled + count])
+        filled += count
+    return sum(np.abs(np.einsum("t,tj->j", column, powers)) ** 2 for column in columns)
 
 
 def mode_prominence(root_set, trajectory):
@@ -177,18 +197,13 @@ def mode_prominence(root_set, trajectory):
     mean = np.einsum("t,td->d", w, a)
     is_node = ~np.signbit(roots.imag)
     nodes = roots[is_node]
-    # conj(z)^t by doubling: rows [m, 2m) are rows [0, m) times conj(z)^m,
-    # about log2(n) roundings per entry, and 30x faster than a complex exp
-    powers = np.empty((n, nodes.shape[0]), dtype=complex)
-    powers[0] = 1.0
-    filled = 1
-    while filled < n:
-        count = min(filled, n - filled)
-        np.multiply(powers[:count], powers[filled - 1] * nodes.conj(),
-                    out=powers[filled:filled + count])
-        filled += count
-    squared = sum(np.abs(np.einsum("t,tj->j", column, powers)) ** 2
-                  for column in (w[:, None] * (a - mean)).T)
+    columns = (w[:, None] * (a - mean)).T
+    # conj(z)^t for NODE_BLOCK nodes at a time, so the powers never outgrow
+    # one n x NODE_BLOCK block however many roots the filter has
+    squared = np.empty(nodes.shape[0])
+    for start in range(0, nodes.shape[0], NODE_BLOCK):
+        block = nodes[start:start + NODE_BLOCK].conj()
+        squared[start:start + block.shape[0]] = _projection_squared(columns, block)
     amplitudes = np.sqrt(squared)
     amplitudes[nodes.imag != 0] *= 2.0
     amplitudes[np.abs(nodes - 1.0) <= _CONSTANT_ROOT_TOL] = math.hypot(*mean)

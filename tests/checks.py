@@ -7,6 +7,7 @@ for it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import scipy.optimize
@@ -31,6 +32,19 @@ def pair_distance(a, b):
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
+
+
+def traced_peak(run):
+    """Peak bytes that tracemalloc sees allocated during run(), above what
+    was held when it started.  numpy reports its arrays to tracemalloc;
+    LAPACK's working copy inside np.linalg.qr is allocated outside it."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def figure2_signal(n):

@@ -828,3 +828,22 @@ def test_command_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_classify_loads_no_numpy_random(tmp_path):
+    # the chaotic seed (0.5, 0.05) of BASE back-substitutes its filter
+    # triangles, so the condition estimate draws its probe columns; the
+    # draw is numpy arithmetic, and numpy.random, about 6 MB and 13 ms a
+    # process, stays unloaded
+    cfg = write_config(tmp_path / "run.ini", BASE.format(table=tmp_path / "t.csv"))
+    code = ("import sys; from birkhoff_rre import cli, numerics; "
+            "from birkhoff_rre.config import load_config; "
+            "full_rank = []; solve = numerics._solve_triangle; "
+            "numerics._solve_triangle = lambda *args: full_rank.append(solve(*args)) or full_rank[-1]; "
+            f"cfg = load_config({cfg!r}); row, _ = cli.classify_seed(cfg, (0.5, 0.05)); "
+            "print(row['class'], sum(x is not None for x in full_rank), 'numpy.random' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
+                          text=True, timeout=120, check=True)
+    tag, back_substituted, loaded = done.stdout.split()
+    assert tag == "chaotic" and int(back_substituted) >= 1
+    assert loaded == "False"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from birkhoff_rre import fourier
 from birkhoff_rre.birkhoff import bump_weights
 from birkhoff_rre.errors import ContractViolation, ValidationFailure
 from birkhoff_rre.fourier import (
@@ -24,7 +25,7 @@ from birkhoff_rre.maps import (
 )
 from birkhoff_rre.spectral import classify_trajectory
 from checks import (GOLDEN, IdentityObservable, complex_mode_fit, point_advance,
-                    reference_validation_residual)
+                    reference_validation_residual, traced_peak)
 
 
 def toeplitz_gamma(window, omega, num_modes):
@@ -137,6 +138,17 @@ class TestProjectCircle:
         with pytest.raises(ContractViolation):
             project_circle(Trajectory(np.zeros((10, 1))), 0.3, 6)
 
+    def test_fit_holds_three_systems(self):
+        # 2L+1 = 201 modes on 1200 samples of a D = 2 circle: the system is
+        # 1200 x 203 with the right-hand sides.  tracemalloc sees the buffer,
+        # np.linalg.qr's copy of it and its R; phases, cos and sin held apart
+        # from the buffer took the peak to 3.7 systems
+        n, l = 1200, 100
+        t = np.arange(n)
+        samples = np.stack([np.cos(2 * np.pi * GOLDEN * t), np.sin(2 * np.pi * GOLDEN * t)], 1)
+        system = n * (2 * l + 1 + 2) * 8
+        assert traced_peak(lambda: project_circle(Trajectory(samples), GOLDEN, l)) <= 3.0 * system
+
 
 class TestEvalCircle:
     def test_mean_only_constant(self):
@@ -200,6 +212,23 @@ class TestValidation:
         advance = make_observable_advance(smap, obs)
         reference = reference_validation_residual(circle, point_advance(smap, obs))
         assert validation_residual(circle, advance) == reference
+
+    def test_phases_built_once_per_set_of_angles(self, monkeypatch):
+        # a period-3 chain needs the phases of the grid and of the rotated grid
+        rng = np.random.default_rng(3)
+        circle = FourierCircle(period=3, rotation=0.3, num_modes=4, dimension=2,
+                               coefficients=rng.standard_normal((9, 6)) + 0j)
+
+        def advance(values):
+            return np.sin(values) + values
+
+        expected = reference_validation_residual(circle, advance)
+        calls = []
+        phases = fourier._mode_phases
+        monkeypatch.setattr(fourier, "_mode_phases",
+                            lambda *args: calls.append(args) or phases(*args))
+        assert validation_residual(circle, advance) == expected
+        assert len(calls) == 2
 
     def test_sum_equals_per_point_reference(self):
         # the zero circle is its own target, so an advance that moves one

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,41 +11,64 @@ from hypothesis import strategies as st
 
 from birkhoff_rre.errors import ContractViolation
 from birkhoff_rre.numerics import (
+    PROBES,
+    augment,
     complex_least_squares_solve,
+    gaussian_probes,
     least_squares_solve,
     real_eigenvalues,
 )
 from checks import pair_distance
 
 
+def solve(a, b, **kwargs):
+    """least_squares_solve of a @ X = b, with a and b held apart."""
+    return least_squares_solve(augment(a, b), np.shape(a)[1], **kwargs)
+
+
 class TestLeastSquares:
     def test_consistent_column(self):
-        x, _ = least_squares_solve(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
-        assert np.allclose(x, [1.0], atol=1e-14)
+        x, _ = solve(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
+        assert np.allclose(x, [[1.0]], atol=1e-14)
 
     def test_identity(self):
-        x, _ = least_squares_solve(np.eye(2), np.array([3.0, 4.0]))
-        assert np.allclose(x, [3.0, 4.0], atol=1e-14)
-        x, _ = least_squares_solve(np.eye(2), np.array([[3.0, 1.0], [4.0, 2.0]]))
+        x, _ = solve(np.eye(2), np.array([3.0, 4.0]))
+        assert np.allclose(x, [[3.0], [4.0]], atol=1e-14)
+        x, _ = solve(np.eye(2), np.array([[3.0, 1.0], [4.0, 2.0]]))
         assert np.allclose(x, [[3.0, 1.0], [4.0, 2.0]], atol=1e-14)
 
     def test_line_fit(self):
         # Vandermonde on nodes 0, 1, 2 fitting b = (0, 1, 2): slope one,
         # intercept zero by the normal equations worked by hand
         a = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
-        x, rank = least_squares_solve(a, np.array([0.0, 1.0, 2.0]))
-        assert np.allclose(x, [0.0, 1.0], atol=1e-13)
+        x, rank = solve(a, np.array([0.0, 1.0, 2.0]))
+        assert x.shape == (2, 1)
+        assert np.allclose(x[:, 0], [0.0, 1.0], atol=1e-13)
         assert rank == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            least_squares_solve(np.eye(2), np.array([1.0, 2.0, 3.0]))
+            solve(np.eye(2), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ContractViolation):
-            least_squares_solve(np.ones((2, 3)), np.array([1.0, 2.0]))
+            solve(np.ones((2, 3)), np.array([1.0, 2.0]))
+        # the split must leave a column on each side
+        for unknowns in (0, 3):
+            with pytest.raises(ContractViolation):
+                least_squares_solve(np.ones((4, 3), order="F"), unknowns)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ContractViolation):
-            least_squares_solve(np.array([[np.nan], [1.0]]), np.array([1.0, 2.0]))
+            solve(np.array([[np.nan], [1.0]]), np.array([1.0, 2.0]))
+        with pytest.raises(ContractViolation):
+            solve(np.array([[1.0], [1.0]]), np.array([np.inf, 2.0]))
+
+    def test_buffer_is_not_written(self):
+        augmented = augment(np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]),
+                            np.array([0.0, 1.0, 3.0]))
+        before = augmented.copy()
+        least_squares_solve(augmented, 2)
+        assert augmented.flags.f_contiguous
+        assert np.array_equal(augmented, before)
 
     @given(st.integers(2, 12), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -49,14 +78,51 @@ class TestLeastSquares:
         m = n + rng.integers(1, 8)
         a = rng.standard_normal((m, n))
         b = rng.standard_normal((m, 3))
-        x, rank = least_squares_solve(a, b)
+        x, rank = solve(a, b)
         assert x.shape == (n, 3) and rank == n
         for j in range(3):
-            column, _ = least_squares_solve(a, b[:, j])
+            column = solve(a, b[:, j])[0][:, 0]
             assert np.abs(x[:, j] - column).max() <= 1e-12 * np.abs(column).max()
             residual = a @ column - b[:, j]
             bound = 1e-10 * np.linalg.norm(a, 2) * np.linalg.norm(b[:, j])
             assert np.linalg.norm(a.T @ residual) <= bound
+
+
+class TestGaussianProbes:
+    """The condition estimate's probe columns: a fixed Gaussian draw per size."""
+
+    @staticmethod
+    def digest(values):
+        return hashlib.sha256(values.tobytes()).hexdigest()
+
+    def test_same_across_calls_and_processes(self):
+        draw = gaussian_probes(300)
+        assert draw.shape == (300, PROBES) and draw.dtype == float
+        assert np.array_equal(draw, gaussian_probes(300))
+        code = ("import hashlib; from birkhoff_rre.numerics import gaussian_probes; "
+                "print(hashlib.sha256(gaussian_probes(300).tobytes()).hexdigest())")
+        src = str(Path(__file__).parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.strip() == self.digest(draw)
+
+    def test_sizes_draw_apart(self):
+        # a key per size: no size's draw is a prefix or a shift of another's
+        draws = [gaussian_probes(size) for size in (1, 2, 100, 101, 102)]
+        for i, first in enumerate(draws):
+            for second in draws[i + 1:]:
+                assert np.intersect1d(first, second).size == 0
+
+    def test_moments_of_a_large_draw(self):
+        # 1e5 draws a column: the standard errors of a column's mean, its
+        # standard deviation and the columns' correlation are at most
+        # 0.0032, so 0.015 is over four of them
+        draw = gaussian_probes(100_000)
+        assert np.isfinite(draw).all()
+        for values in (draw.ravel(), draw[:, 0], draw[:, 1]):
+            assert abs(values.mean()) <= 0.015
+            assert abs(values.std() - 1.0) <= 0.015
+        assert abs(np.corrcoef(draw.T)[0, 1]) <= 0.015
 
 
 class TestComplexLeastSquares:

@@ -31,7 +31,7 @@ from birkhoff_rre.rre import (
     symmetrized_tap_weights,
 )
 from birkhoff_rre.spectral import ClassifyParams, classify_trajectory, palindromic_roots
-from checks import wba_feasible_objective
+from checks import traced_peak, wba_feasible_objective
 
 
 def exit_tau(k):
@@ -156,6 +156,21 @@ class TestSolveFilter:
         assert r_squared <= feasible * (1.0 + 1e-12)
 
 
+class TestWorkingMemory:
+    @pytest.mark.parametrize("eps", [0.0, 1e-8])
+    def test_filter_solve_holds_three_systems(self, eps):
+        # a K = 300 rung of k = 2.0: T = 450 and D = 2 give 900 data rows,
+        # and K more with epsilon > 0, by K + 1 columns with the right-hand
+        # side.  tracemalloc sees the buffer, np.linalg.qr's copy of it and
+        # its R; a copy of the fold kept through the solve, or a system
+        # built apart from the buffer, would take the peak past three (it
+        # was 4.4 and 4.8 systems before the one-buffer build)
+        traj = sample_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.3, 0.2), 1051)
+        problem = build_problem(difference_signal(traj), 300, 450, eps)
+        system = (900 + (300 if eps > 0.0 else 0)) * 301 * 8
+        assert traced_peak(lambda: solve_filter(problem)) <= 3.0 * system
+
+
 def dense_reference(problem):
     """The filter solve written out densely: explicit fold matrix, explicit
     Householder null-space basis, and gelsy on the full-height system."""
@@ -214,16 +229,30 @@ class TestCompressedSolve:
 
 
 def last_solve(monkeypatch, run):
-    """(a, b, keyword arguments) of the last least_squares_solve call of run()."""
-    calls = []
+    """(a, b, keyword arguments) of the last least_squares_solve call of run().
 
-    def record(a, b, **kwargs):
-        calls.append((np.array(a), np.array(b), kwargs))
-        return numerics.least_squares_solve(a, b, **kwargs)
+    The package passes the buffer [a | b] and the column count of a; b is
+    returned as a vector when it is one column.  For the rest of the test,
+    numerics.least_squares_solve takes a and b apart, as it did before the
+    buffer, and returns a solution with as many dimensions as b.
+    """
+    calls = []
+    solve = numerics.least_squares_solve
+
+    def record(augmented, unknowns, **kwargs):
+        b = augmented[:, unknowns:]
+        calls.append((np.array(augmented[:, :unknowns]),
+                      np.array(b[:, 0] if b.shape[1] == 1 else b), kwargs))
+        return solve(augmented, unknowns, **kwargs)
+
+    def solve_apart(a, b, **kwargs):
+        x, rank = solve(numerics.augment(a, b), a.shape[1], **kwargs)
+        return (x[:, 0] if b.ndim == 1 else x), rank
 
     monkeypatch.setattr(rre, "least_squares_solve", record)
     monkeypatch.setattr(fourier, "least_squares_solve", record)
     run()
+    monkeypatch.setattr(numerics, "least_squares_solve", solve_apart)
     return calls[-1]
 
 

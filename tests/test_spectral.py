@@ -19,6 +19,7 @@ from birkhoff_rre.numerics import real_eigenvalues
 from birkhoff_rre.rre import adaptive_solve, solve_from_trajectory
 from birkhoff_rre.spectral import (
     CRITICAL_X_TOL,
+    NODE_BLOCK,
     ClassifyParams,
     ModeEntry,
     RootSet,
@@ -38,6 +39,7 @@ from checks import (
     continued_fraction_convergents,
     pair_distance,
     projection_prominences,
+    traced_peak,
     unfold_root,
 )
 from test_cli import BAD_VALUES
@@ -242,6 +244,26 @@ class TestModeProminence:
         assert keys[:len(significant)] == significant
         for key, entry in zip(keys, ranking):
             assert abs(entry.prominence - summed[key]) <= 1e-9 * top
+
+
+    def test_working_memory_is_one_block_of_nodes(self):
+        # the powers conj(z)^t are n x NODE_BLOCK complex at most, a few MB
+        # on the longest ladder orbits: eight blocks of nodes cost what one
+        # does, where all the powers at once grew the peak eightfold
+        n = 2000
+        traj = Trajectory(np.random.default_rng(1).standard_normal((n, 2)))
+        block = n * NODE_BLOCK * 16
+        assert block <= 4 * 2 ** 20
+
+        def peak(count):
+            z = np.exp(1j * np.linspace(0.01, 3.1, count))
+            roots = RootSet(np.concatenate([z, z.conj()]), np.zeros(2 * count, dtype=bool))
+            return traced_peak(lambda: mode_prominence(roots, traj))
+
+        one = peak(NODE_BLOCK)
+        assert one <= 1.25 * block
+        for count in (3 * NODE_BLOCK + 1, 8 * NODE_BLOCK):
+            assert peak(count) <= one + 0.1 * block
 
 
 class TestRationalDetect:
