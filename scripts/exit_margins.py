@@ -1,0 +1,186 @@
+"""Replay the K ladder without early exits and report the margins of rre.EXIT_SCHEDULE.
+
+Run by hand from the repository root; it is not part of the test suite:
+
+    PYTHONPATH=src python3 scripts/exit_margins.py [--sets rows610,heldout400,drawn300]
+        [--observables embedding,y] [--schedule 50:1.2e-3,100:1e-4,...] [--workers 2]
+
+Every seed climbs K = k_init, k_init + delta_k, ..., k_max at the default
+[algorithm] until R_G <= delta_adapt, with no exit, so each history is the
+longest the ladder can run.  A ladder with the schedule runs a prefix of
+it: the solve at K reads only the first N samples of the same orbit.
+
+For each pair (K_i, tau_i) of the schedule, over the rungs K_i <= K <
+K_{i+1}, the report gives the largest R_G of a row that later converged
+(the rows that read integrable or indeterminate), its margin tau_i / R_G,
+and how many unconverged rows the schedule stops there.  A margin below 1
+means the schedule would stop a converging row, and the run exits with
+status 1.
+
+The seed sets, each a list of (k, x, y):
+
+- rows610: the 100-seed k = 0.7, x = 0.05 line and the 30-seed k = 2.0,
+  x = 0.5 line (y in [0, 0.6], as ``[seeds] mode = line``), and the grid
+  k in {0.3, 0.5, 0.7, 0.9716, 1.2, 2.0} x x in {0.05, 0.5} x
+  y = i * (0.6 / 39), i = 0..39;
+- heldout400: k in {0.4, 0.6, 0.8, 1.0, 1.5} x x in {0.25, 0.75} x
+  y = (i + 0.5) * 0.6 / 39, i = 0..39;
+- third300, fourth300 and drawn300: drawn with numpy generators of fixed
+  seed (see ``drawn_set``).  The first two checked the graded schedule;
+  drawn300 was drawn for the K = 50 bound before any replay of it was seen.
+"""
+
+import argparse
+import concurrent.futures
+import sys
+
+from birkhoff_rre import rre  # first: the package's thread policy applies before numpy loads
+from birkhoff_rre.config import OBSERVABLES
+from birkhoff_rre.errors import OrbitEscape
+from birkhoff_rre.maps import StandardMap, TrajectorySource
+from birkhoff_rre.spectral import ClassifyParams
+
+import numpy as np
+
+
+def line(k, x, count):
+    step = 0.6 / (count - 1)
+    return [(k, x, i * step) for i in range(count)]
+
+
+def drawn_set(name):
+    """Seeds drawn from a numpy generator of fixed seed, in the order drawn."""
+    if name == "third300":
+        rng = np.random.default_rng(2110)
+        seeds = []
+        for k in (0.45, 0.65, 0.85, 1.1, 1.7):
+            x = rng.random(60)
+            y = 0.6 * rng.random(60)
+            seeds += [(k, float(a), float(b)) for a, b in zip(x, y)]
+        return seeds
+    generator_seed = {"fourth300": 2121, "drawn300": 2401}[name]
+    rng = np.random.default_rng(generator_seed)
+    k = rng.uniform(0.3, 2.0, 300)
+    x = rng.random(300)
+    y = 0.6 * rng.random(300)
+    return [(float(a), float(b), float(c)) for a, b, c in zip(k, x, y)]
+
+
+def seed_set(name):
+    if name == "rows610":
+        grid = [(k, x, i * (0.6 / 39)) for k in (0.3, 0.5, 0.7, 0.9716, 1.2, 2.0)
+                for x in (0.05, 0.5) for i in range(40)]
+        return line(0.7, 0.05, 100) + line(2.0, 0.5, 30) + grid
+    if name == "heldout400":
+        return [(k, x, (i + 0.5) * 0.6 / 39) for k in (0.4, 0.6, 0.8, 1.0, 1.5)
+                for x in (0.25, 0.75) for i in range(40)]
+    return drawn_set(name)
+
+
+SETS = ("rows610", "heldout400", "third300", "fourth300", "drawn300")
+
+
+def full_ladder(task):
+    """(K, N, R_G) of every rung until convergence, or None if the orbit escapes."""
+    observable, (k, x, y) = task
+    params = ClassifyParams()
+    source = TrajectorySource(StandardMap(k), OBSERVABLES[observable](), (x, y),
+                              params.escape_bound)
+    history = []
+    try:
+        for half_length in range(params.k_init, params.k_max + 1, params.delta_k):
+            trajectory, solution = rre.solve_at(source, half_length, params)
+            r_g = solution.scale_free_residual
+            history.append((half_length, trajectory.length, r_g))
+            if r_g <= params.delta_adapt:
+                break
+    except OrbitEscape:
+        return None
+    return history
+
+
+def band(k, schedule):
+    """Index of the last schedule pair rung K has reached, whose bound applies, or None."""
+    reached = [index for index, (k_exit, _) in enumerate(schedule) if k >= k_exit]
+    return reached[-1] if reached else None
+
+
+def stop_rung(history, schedule):
+    """Index of the rung where ``schedule`` ends an unconverged ladder, or None."""
+    for index, (k, _, r_g) in enumerate(history):
+        i = band(k, schedule)
+        if i is not None and r_g > schedule[i][1]:
+            return index
+    return None
+
+
+def report(name, seeds, histories, schedule):
+    """Print one set's margins; returns the number of converging rows stopped."""
+    delta = ClassifyParams().delta_adapt
+    worst = [(0.0, None)] * len(schedule)
+    stops = [0] * len(schedule)
+    converged = unconverged = escaped = converged_stopped = 0
+    samples = [0, 0]  # of unconverged rows: full ladder, and under the schedule
+    for seed, history in zip(seeds, histories):
+        if history is None:
+            escaped += 1
+            continue
+        stop = stop_rung(history, schedule)
+        if history[-1][2] <= delta:
+            converged += 1
+            converged_stopped += stop is not None
+            for k, _, r_g in history[:-1]:
+                i = band(k, schedule)
+                if i is not None and r_g > worst[i][0]:
+                    worst[i] = (r_g, (seed, k))
+            continue
+        unconverged += 1
+        samples[0] += history[-1][1]
+        samples[1] += history[-1 if stop is None else stop][1]
+        if stop is not None:
+            stops[band(history[stop][0], schedule)] += 1
+    print(f"{name}: {len(seeds)} rows, {converged} converged, {unconverged} unconverged, "
+          f"{escaped} escaped")
+    for (k_exit, tau), (r_g, where), stopped in zip(schedule, worst, stops):
+        if where is None:
+            cell = "no converged row has a rung here"
+        else:
+            (k, x, y), k_rung = where
+            cell = (f"largest converged R_G {r_g:.3g} (k = {k:.6g}, x = {x:.6g}, "
+                    f"y = {y:.6g}, K = {k_rung}), margin {tau / r_g:.3g}x")
+        print(f"  K >= {k_exit:3d}  tau {tau:.3g}: {cell}; stops {stopped} unconverged rows")
+    print(f"  samples of unconverged rows: {samples[0]} with no exit, {samples[1]} "
+          f"with the schedule; converged rows stopped: {converged_stopped}")
+    return converged_stopped
+
+
+def parse_schedule(text):
+    pairs = [item.split(":") for item in text.split(",")]
+    return tuple((int(k), float(tau)) for k, tau in pairs)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sets", default=",".join(SETS))
+    parser.add_argument("--observables", default="embedding,y")
+    parser.add_argument("--schedule", type=parse_schedule, default=rre.EXIT_SCHEDULE,
+                        help="K:tau pairs, default rre.EXIT_SCHEDULE")
+    parser.add_argument("--workers", type=int, default=1)
+    args = parser.parse_args(argv)
+    names = [(s, o) for s in args.sets.split(",") for o in args.observables.split(",")]
+    unknown = {s for s, _ in names} - set(SETS) | {o for _, o in names} - set(OBSERVABLES)
+    if unknown:
+        parser.error(f"unknown set or observable: {', '.join(sorted(unknown))}")
+    print("schedule: " + ", ".join(f"({k}, {tau:.3g})" for k, tau in args.schedule))
+    stopped = 0
+    with concurrent.futures.ProcessPoolExecutor(max(1, args.workers)) as pool:
+        run = pool.map if args.workers > 1 else map
+        for s, o in names:
+            seeds = seed_set(s)
+            histories = list(run(full_ladder, [(o, seed) for seed in seeds]))
+            stopped += report(f"{s} / {o}", seeds, histories, args.schedule)
+    return 1 if stopped else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

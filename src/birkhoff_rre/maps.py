@@ -240,6 +240,13 @@ class TrajectorySource:
         self._state = np.asarray(x0, dtype=float)  # at sample max(samples_drawn - 1, 0)
         self._buffer = None
 
+    @property
+    def dimension(self):
+        """D of the observable, read off the first sample, which it draws if needed."""
+        if self._buffer is None:
+            self.take(1)
+        return self._buffer.shape[1]
+
     def take(self, n):
         if n < 1:
             raise ContractViolation(f"need n >= 1, got {n}")

@@ -53,12 +53,16 @@ SQRT2 = math.sqrt(2.0)
 # The ladder's exits on chaos, as (K, tau) pairs: a rung at or above K whose
 # R_G is still above tau ends the sweep unconverged.  K grows and tau does
 # not, so the last pair a rung has reached sets its bound; below the first
-# K the ladder never stops early.  Over 1610 recorded seeds (the 610 rows of
-# both full lines and a 480-seed grid, a held-out 400 and two drawn sets of
-# 300), each under both observables, the largest R_G of a row that later
-# converged was 1.7e-5 at K >= 100, 1.1e-6 at K >= 150, 1.5e-7 at K >= 250
-# and 1.3e-8 at K >= 400: margins of 5.9x, 8.8x, 6.5x and 7.5x.
-EXIT_SCHEDULE = ((100, 1e-4), (150, 1e-5), (250, 1e-6), (400, 1e-7))
+# K the ladder never stops early.  scripts/exit_margins.py replays the
+# ladder with no exit on 1910 seeds (the 610 rows of both full lines and a
+# 480-seed grid, a held-out 400 and three drawn sets of 300), each under
+# both observables.  On the rungs a pair governs, the largest R_G of a row
+# that later converged is 2.0e-4 (K = 50), 1.7e-5 (100), 1.1e-6 (150),
+# 5.3e-7 (250) and 1.3e-8 (400): margins of 5.96x, 5.9x, 8.8x, 1.9x and
+# 7.5x.  The K = 50 bound was set from the 610 rows, where its margin is
+# 5.96x (grid row k = 0.5, x = 0.5, y = 5 * 0.6/39 under y); it keeps 50x
+# on the held-out 400 and 16x on the set drawn for it (drawn300).
+EXIT_SCHEDULE = ((50, 1.2e-3), (100, 1e-4), (150, 1e-5), (250, 1e-6), (400, 1e-7))
 SHIFT_ROWS = 32  # rows of the eliminated system moved per step (_eliminated_system)
 
 
@@ -306,8 +310,7 @@ def solve_at(source, half_length, params):
     Uses T = ceil(gamma K / D) windows, so the first N = T + 2K + 1
     samples of the orbit in ``source``.  Returns (trajectory, solution).
     """
-    dimension = source.take(1).dimension
-    t = max(1, math.ceil(params.gamma * half_length / dimension))
+    t = max(1, math.ceil(params.gamma * half_length / source.dimension))
     trajectory = source.take(t + 2 * half_length + 1)
     return trajectory, solve_from_trajectory(trajectory, half_length, t, params.epsilon)
 
@@ -343,21 +346,27 @@ def adaptive_solve(source, params):
     Runs ``solve_at`` for K = k_init, k_init + delta_k, ... while K <=
     k_max, reusing previously sampled orbit points (each step extends,
     never restarts, the trajectory).  The sweep stops unconverged and
-    ``stalled`` at the first rung that is at or above some K of
-    EXIT_SCHEDULE with R_G above that K's tau: the residual has stalled,
-    as it does on chaos.  A nan R_G meets neither test and climbs on.
+    ``stalled`` at the first rung whose R_G is above the tau of the last
+    EXIT_SCHEDULE pair it has reached: the residual has stalled, as it
+    does on chaos.  A nan R_G meets neither test and climbs on.
     ``params`` is a ClassifyParams, whose construction has range-checked
     every value used here.  Returns the last solution with the per-step
     history.
     """
     history = []
+    exits = iter(EXIT_SCHEDULE)
+    next_exit = next(exits, None)
+    tau = math.inf  # the bound of the last pair reached: none below the first K
     for k in range(params.k_init, params.k_max + 1, params.delta_k):
         traj, solution = solve_at(source, k, params)
         r_g = solution.scale_free_residual
         history.append((k, traj.length, solution.residual, r_g))
         if r_g <= params.delta_adapt:
             return AdaptiveResult(solution=solution, converged=True, history=history)
-        if any(k >= k_exit and r_g > tau for k_exit, tau in EXIT_SCHEDULE):
+        while next_exit is not None and k >= next_exit[0]:
+            tau = next_exit[1]
+            next_exit = next(exits, None)
+        if r_g > tau:
             return AdaptiveResult(solution=solution, converged=False, history=history,
                                   stalled=True)
     return AdaptiveResult(solution=solution, converged=False, history=history)

@@ -377,17 +377,18 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         "adaptive_converged": result.converged,
         "history": result.history,
     }
+    # adaptive_solve converges only on a gate value <= delta_adapt, so a
+    # nan residual fails closed to chaotic; a fixed point has R_G = 0 and
+    # converges.  A chaotic row never reads its orbit back
+    if not result.converged:
+        return Classification(tag="chaotic", diagnostics=diag,
+                              flags=["stalled"] if result.stalled else [])
     traj = source.take(source.samples_drawn)
     if solution.fixed_point:
         return Classification(
             tag="integrable", period=1, rotation=0.0, fit_trajectory=traj,
             diagnostics=diag, flags=["fixed_point"],
         )
-    # adaptive_solve converges only on a gate value <= delta_adapt, so a
-    # nan residual fails closed to chaotic
-    if not result.converged:
-        return Classification(tag="chaotic", diagnostics=diag,
-                              flags=["stalled"] if result.stalled else [])
     roots = unit_circle_filter(palindromic_roots(solution.coefficients))
     diag["n_unit_roots"] = len(roots)
     diag["n_low_confidence_roots"] = int(np.count_nonzero(roots.low_confidence))

@@ -166,7 +166,7 @@ class TorusObservable(Observable):
 # an Observable in place of the observable name, is patched into cli
 FLAG_CASES = [
     ("fixed_point", "integrable", 0.7, "embedding", (0.0, 0.0), {}),
-    ("escape", "chaotic", 2.0, "embedding", (0.5, 0.0), {"escape_bound": 2.0}),
+    ("escape", "chaotic", 2.0, "embedding", (0.5, 0.0), {"escape_bound": 1.5}),
     ("periodic_orbit", "integrable", 0.7, "embedding", (0.0, 0.5), {}),
     ("no_unit_circle_roots", "indeterminate", HalvingMap(), IdentityObservable(), (0.3, 0.2),
      {"k_init": 1, "k_max": 1, "delta_k": 1}),
@@ -405,22 +405,22 @@ class TestClassifySeed:
         assert row["class"] == tag
 
     def test_escape_row_counts_map_evaluations(self):
-        # at k = 2.0 the orbit of (0.5, 0.0) reaches y = 2.09 at step 215,
-        # inside the K = 100 rung, so 215 map evaluations were made
+        # at k = 2.0 the orbit of (0.5, 0.0) reaches y = 1.5006 at step 163,
+        # inside the K = 50 rung, so 163 map evaluations were made
         seed = (0.5, 0.0)
-        cfg = RunConfig(k=2.0, params=ClassifyParams(escape_bound=2.0), seeds=[seed])
+        cfg = RunConfig(k=2.0, params=ClassifyParams(escape_bound=1.5), seeds=[seed])
         row, payload = classify_seed(cfg, seed)
         assert (row["class"], row["flags"]) == ("chaotic", "escape")
-        assert row["N"] == 215
+        assert row["N"] == 163
         assert payload is None
 
     def test_stalled_row_reports_the_stopping_rung(self):
-        # the first point of the k = 2.0 chaos line stops at K = 100, where
-        # T = 150 windows take 350 map evaluations
+        # the first point of the k = 2.0 chaos line stops at K = 50, where
+        # T = 75 windows take 175 map evaluations
         seed = (0.5, 0.0)
         row, payload = classify_seed(RunConfig(k=2.0, seeds=[seed]), seed)
         assert (row["class"], row["flags"]) == ("chaotic", "stalled")
-        assert (row["K"], row["N"]) == (100, 350)
+        assert (row["K"], row["N"]) == (50, 175)
         assert payload is None
 
     def test_escape_row_counts_evaluations_past_a_bad_observable(self, monkeypatch):

@@ -405,16 +405,28 @@ class TestAdaptiveSolve:
         assert all(value > params.delta_adapt for value in gate_values[:-1])
 
     def test_chaos_seed_stops_at_k_exit(self):
-        # the first point of the k = 2.0 chaos line: R_G is 1.1e-3 at K = 100,
+        # the first point of the k = 2.0 chaos line: R_G is 1.8e-3 at K = 50,
         # the schedule's first rung
         source = TrajectorySource(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0))
         result = adaptive_solve(source, ClassifyParams())
         assert not result.converged and result.stalled
-        assert EXIT_SCHEDULE[0][0] == 100
-        assert [entry[0] for entry in result.history] == [50, 100]
-        assert result.history[-1][3] > exit_tau(100)
-        assert result.solution.half_length == 100
-        assert source.samples_drawn == 351  # T = 150, N = T + 2K + 1
+        assert EXIT_SCHEDULE[0][0] == 50
+        assert [entry[0] for entry in result.history] == [50]
+        assert result.history[-1][3] > exit_tau(50)
+        assert result.solution.half_length == 50
+        assert source.samples_drawn == 176  # T = 75, N = T + 2K + 1
+
+    def test_first_rung_spares_the_largest_converging_residual(self):
+        # grid row (k = 0.5, x = 0.5, y = 5 * 0.6/39) under the y observable
+        # has R_G 2.01e-4 at K = 50, the largest of any converging row of the
+        # 610 rows there, and converges at K = 300: the K = 50 bound keeps a
+        # margin of at least 5.9x over it (scripts/exit_margins.py)
+        cls = classify_trajectory(StandardMap(0.5), CoordinateObservable(1),
+                                  (0.5, 5 * (0.6 / 39)))
+        assert (cls.tag, cls.period, cls.diagnostics["K"]) == ("integrable", 1, 300)
+        first_k, _, _, first_r_g = cls.diagnostics["history"][0]
+        assert first_k == EXIT_SCHEDULE[0][0] == 50
+        assert 5.9 * first_r_g <= exit_tau(50)
 
     def test_default_run_configuration(self):
         params = ClassifyParams()
@@ -431,13 +443,13 @@ class TestExitSchedule:
 
     PARAMS = ClassifyParams(k_init=10, delta_k=10, k_max=600)
 
-    def run(self, monkeypatch, gate):
+    def run(self, monkeypatch, gate, params=PARAMS):
         def fake_solve_at(source, half_length, params):
             solution = gate_only_solution(half_length, gate(half_length))
             return Trajectory(np.zeros((3 * half_length + 1, 1))), solution
 
         monkeypatch.setattr(rre, "solve_at", fake_solve_at)
-        return adaptive_solve(None, self.PARAMS)
+        return adaptive_solve(None, params)
 
     def test_schedule_is_sorted_and_tightens(self):
         ks = [k for k, _ in EXIT_SCHEDULE]
@@ -459,6 +471,12 @@ class TestExitSchedule:
         result = self.run(monkeypatch, lambda k: gate(k, np.nextafter(tau, np.inf)))
         assert not result.converged and result.stalled
         assert result.history[-1][0] == result.solution.half_length == k_exit
+
+    def test_a_first_rung_past_several_ks_takes_the_last_bound(self, monkeypatch):
+        k_exit, tau = EXIT_SCHEDULE[-2]
+        params = ClassifyParams(k_init=k_exit + 10, delta_k=10, k_max=600)
+        result = self.run(monkeypatch, lambda k: np.nextafter(tau, np.inf), params)
+        assert result.stalled and len(result.history) == 1
 
     def test_no_exit_below_the_first_rung(self, monkeypatch):
         result = self.run(monkeypatch, lambda k: 1.0)

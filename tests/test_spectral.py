@@ -416,12 +416,37 @@ class TestClassify:
             classify_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0),
                                 ClassifyParams(delta_adapt=math.nan, k_max=100))
 
+    def test_orbit_is_read_once_per_rung(self, monkeypatch):
+        # one take for the observable's dimension, then one per rung; a
+        # chaotic row never reads its orbit back
+        take = TrajectorySource.take
+        counts = []
+
+        def counted_take(source, n):
+            counts.append(n)
+            return take(source, n)
+
+        monkeypatch.setattr(TrajectorySource, "take", counted_take)
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.5, 0.05),
+                                  ClassifyParams(gamma=2, k_max=200))
+        assert (cls.tag, cls.flags) == ("chaotic", ["stalled"])
+        ks = [entry[0] for entry in cls.diagnostics["history"]]
+        assert ks == [50, 100, 150]
+        assert counts == [1] + [entry[1] for entry in cls.diagnostics["history"]]
+
     def test_nan_gate_fails_closed(self):
         # bypasses the constructor's check, as a caller mutating params could
         params = ClassifyParams(k_max=100)
         params.delta_adapt = math.nan
         cls = classify_trajectory(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0), params)
         assert cls.tag == "chaotic"
+
+    def test_nan_gate_fails_closed_on_a_fixed_point(self):
+        # R_G = 0 is not <= nan either, so the fixed point never converges
+        params = ClassifyParams(k_max=100)
+        params.delta_adapt = math.nan
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.0, 0.0), params)
+        assert (cls.tag, cls.flags) == ("chaotic", [])
 
     def test_nan_residual_climbs_the_ladder_and_fails_closed(self, monkeypatch):
         # a nan R_G is never above a bound of rre.EXIT_SCHEDULE either: the
