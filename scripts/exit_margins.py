@@ -1,6 +1,6 @@
 """Replay the K ladder without early exits and report the margins of rre.EXIT_SCHEDULE.
 
-Run by hand from the repository root; it is not part of the test suite:
+Run by hand from the repository root; the test suite replays only a few seeds:
 
     PYTHONPATH=src python3 scripts/exit_margins.py [--sets rows610,heldout400,drawn300]
         [--observables embedding,y] [--schedule 50:1.2e-3,100:1e-4,...] [--workers 2]
@@ -81,67 +81,56 @@ SETS = ("rows610", "heldout400", "third300", "fourth300", "drawn300")
 
 
 def full_ladder(task):
-    """(K, N, R_G) of every rung until convergence, or None if the orbit escapes."""
-    observable, (k, x, y) = task
+    """(K, N, R_G, rre.exit_pair) of every rung until convergence, and the index
+    of the rung ``schedule`` stops (None if none); None if the orbit escapes."""
+    observable, (k, x, y), schedule = task
     params = ClassifyParams()
     source = TrajectorySource(StandardMap(k), OBSERVABLES[observable](), (x, y),
                               params.escape_bound)
-    history = []
+    history, stop = [], None
     try:
         for half_length in range(params.k_init, params.k_max + 1, params.delta_k):
             trajectory, solution = rre.solve_at(source, half_length, params)
             r_g = solution.scale_free_residual
-            history.append((half_length, trajectory.length, r_g))
+            pair = rre.exit_pair(half_length, schedule)
+            if stop is None and pair is not None and r_g > pair[1]:
+                stop = len(history)
+            history.append((half_length, trajectory.length, r_g, pair))
             if r_g <= params.delta_adapt:
                 break
     except OrbitEscape:
         return None
-    return history
+    return history, stop
 
 
-def band(k, schedule):
-    """Index of the last schedule pair rung K has reached, whose bound applies, or None."""
-    reached = [index for index, (k_exit, _) in enumerate(schedule) if k >= k_exit]
-    return reached[-1] if reached else None
-
-
-def stop_rung(history, schedule):
-    """Index of the rung where ``schedule`` ends an unconverged ladder, or None."""
-    for index, (k, _, r_g) in enumerate(history):
-        i = band(k, schedule)
-        if i is not None and r_g > schedule[i][1]:
-            return index
-    return None
-
-
-def report(name, seeds, histories, schedule):
+def report(name, seeds, ladders, schedule):
     """Print one set's margins; returns the number of converging rows stopped."""
     delta = ClassifyParams().delta_adapt
-    worst = [(0.0, None)] * len(schedule)
-    stops = [0] * len(schedule)
+    worst = dict.fromkeys(schedule, (0.0, None))
+    stops = dict.fromkeys(schedule, 0)
     converged = unconverged = escaped = converged_stopped = 0
     samples = [0, 0]  # of unconverged rows: full ladder, and under the schedule
-    for seed, history in zip(seeds, histories):
-        if history is None:
+    for seed, ladder in zip(seeds, ladders):
+        if ladder is None:
             escaped += 1
             continue
-        stop = stop_rung(history, schedule)
+        history, stop = ladder
         if history[-1][2] <= delta:
             converged += 1
             converged_stopped += stop is not None
-            for k, _, r_g in history[:-1]:
-                i = band(k, schedule)
-                if i is not None and r_g > worst[i][0]:
-                    worst[i] = (r_g, (seed, k))
+            for k, _, r_g, pair in history[:-1]:
+                if pair is not None and r_g > worst[pair][0]:
+                    worst[pair] = (r_g, (seed, k))
             continue
         unconverged += 1
         samples[0] += history[-1][1]
         samples[1] += history[-1 if stop is None else stop][1]
         if stop is not None:
-            stops[band(history[stop][0], schedule)] += 1
+            stops[history[stop][3]] += 1
     print(f"{name}: {len(seeds)} rows, {converged} converged, {unconverged} unconverged, "
           f"{escaped} escaped")
-    for (k_exit, tau), (r_g, where), stopped in zip(schedule, worst, stops):
+    for k_exit, tau in schedule:
+        (r_g, where), stopped = worst[k_exit, tau], stops[k_exit, tau]
         if where is None:
             cell = "no converged row has a rung here"
         else:
@@ -177,8 +166,8 @@ def main(argv=None):
         run = pool.map if args.workers > 1 else map
         for s, o in names:
             seeds = seed_set(s)
-            histories = list(run(full_ladder, [(o, seed) for seed in seeds]))
-            stopped += report(f"{s} / {o}", seeds, histories, args.schedule)
+            ladders = list(run(full_ladder, [(o, seed, args.schedule) for seed in seeds]))
+            stopped += report(f"{s} / {o}", seeds, ladders, args.schedule)
     return 1 if stopped else 0
 
 

@@ -55,7 +55,7 @@ def classify_seed(cfg, seed):
 
     ``row`` maps each CSV column to its value, None where the cell is
     empty; _write_table formats it.  ``circle`` is the validated
-    FourierCircle, or None; run_classify writes it out with _circle_json.
+    FourierCircle, or None; run_classify writes it out with _circle_text.
     Never raises: failures come back as class="error" rows so a batch
     is never aborted by one seed.
     """
@@ -73,8 +73,10 @@ def classify_seed(cfg, seed):
         if cls.tag == "integrable":
             row["rotation"] = cls.rotation
             try:
+                # an observable that cannot be inverted fails here, before the fit
+                advance = make_observable_advance(dmap, obs)
                 fitted = fit_circle(cls)
-                row["R_p"] = validation_residual(fitted, make_observable_advance(dmap, obs))
+                row["R_p"] = validation_residual(fitted, advance)
                 circle = fitted
             except (ValueError, OrbitEscape, NotImplementedError, ValidationFailure) as exc:
                 flags.append(f"fit_failed:{type(exc).__name__}")
@@ -86,24 +88,6 @@ def classify_seed(cfg, seed):
         error_row.update({"seed_x": row["seed_x"], "seed_y": row["seed_y"], "class": "error",
                           "flags": f"{type(exc).__name__}:{exc}"})
         return error_row, None
-
-
-def _circle_json(row, circle):
-    """The JSON payload of a validated circle and the row it belongs to."""
-    # coeffs[block][mode][component] = [real, imag]
-    pairs = np.stack([circle.coefficients.real, circle.coefficients.imag], -1)
-    shape = (2 * circle.num_modes + 1, circle.period, circle.dimension, 2)
-    coeffs = pairs.reshape(shape).swapaxes(0, 1)
-    return {
-        "seed": [row["seed_x"], row["seed_y"]],
-        "period": int(circle.period),
-        "rotation": float(circle.rotation),
-        "L": int(circle.num_modes),
-        "coefficients": coeffs.tolist(),
-        "residuals": {"R": float(row["R"]), "R_G": float(row["R_G"]),
-                      "R_p": float(row["R_p"])},
-        "flags": row["flags"].split("|") if row["flags"] else [],
-    }
 
 
 def _json_array(leaves, shape, depth):
@@ -119,32 +103,36 @@ def _json_array(leaves, shape, depth):
     return leaves[0]
 
 
-def _circle_text(payload):
-    """``json.dumps(payload, indent=1, sort_keys=True)`` of a _circle_json payload.
+def _circle_text(row, circle):
+    """The circle file of a validated circle and its row, as README lays it out.
 
-    An indent sends json to its pure-Python encoder; the payload's layout
+    This is ``json.dumps(payload, indent=1, sort_keys=True)`` of that
+    layout.  An indent sends json to its pure-Python encoder; the layout
     is fixed, so its text is joined here directly.  Scalars still go
     through json.dumps, which spells a finite float as its repr.
     """
-    coeffs = np.asarray(payload["coefficients"], dtype=float)
+    # coeffs[block][mode][component] = [real, imag]
+    pairs = np.stack([circle.coefficients.real, circle.coefficients.imag], -1)
+    shape = (2 * circle.num_modes + 1, circle.period, circle.dimension, 2)
+    coeffs = pairs.reshape(shape).swapaxes(0, 1)
     spell = float.__repr__ if np.isfinite(coeffs).all() else json.dumps
     leaves = list(map(spell, coeffs.ravel().tolist()))
-    flags = [json.dumps(flag) for flag in payload["flags"]]
-    seed = [json.dumps(value) for value in payload["seed"]]
-    residuals = {key: json.dumps(value) for key, value in payload["residuals"].items()}
+    flags = [json.dumps(flag) for flag in row["flags"].split("|")] if row["flags"] else []
+    seed = [json.dumps(row["seed_x"]), json.dumps(row["seed_y"])]
+    residuals = {key: json.dumps(float(row[key])) for key in ("R", "R_G", "R_p")}
     return "\n".join([
         "{",
-        f' "L": {payload["L"]},',
+        f' "L": {int(circle.num_modes)},',
         f' "coefficients": {_json_array(leaves, coeffs.shape, 1)},',
         f' "flags": {_json_array(flags, (len(flags),), 1)},',
-        f' "period": {payload["period"]},',
+        f' "period": {int(circle.period)},',
         ' "residuals": {',
         f'  "R": {residuals["R"]},',
         f'  "R_G": {residuals["R_G"]},',
         f'  "R_p": {residuals["R_p"]}',
         " },",
-        f' "rotation": {json.dumps(payload["rotation"])},',
-        f' "seed": {_json_array(seed, (len(seed),), 1)}',
+        f' "rotation": {json.dumps(float(circle.rotation))},',
+        f' "seed": {_json_array(seed, (2,), 1)}',
         "}",
     ])
 
@@ -183,7 +171,7 @@ def run_classify(cfg, out=None):
                 continue
             path = os.path.join(cfg.circles, f"circle_{index:04d}.json")
             with open(path, "w") as handle:
-                handle.write(_circle_text(_circle_json(row, circle)))
+                handle.write(_circle_text(row, circle))
     failures = sum(1 for row in rows if row["class"] == "error")
     print(f"classified {len(rows)} seeds -> {cfg.table}"
           + (f" ({failures} failures)" if failures else ""), file=out)

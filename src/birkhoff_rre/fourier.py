@@ -16,7 +16,7 @@ import numpy as np
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation, ValidationFailure
-from .maps import EmbeddingObservable, StandardMap, standard_embedding_advance
+from .maps import EmbeddingObservable, Observable, StandardMap, standard_embedding_advance
 from .numerics import least_squares_solve
 
 GAMMA_MAX = 0.5        # choose_num_modes keeps gamma_L below this
@@ -182,9 +182,13 @@ def make_observable_advance(dynamical_map, observable):
     checked in observable space.  The standard map with the embedding
     observable works on the whole block (maps.standard_embedding_advance);
     any other pair loops over ``invert``, ``step`` and ``evaluate`` per row.
+    Raises NotImplementedError here, before any circle is fitted, for an
+    observable that does not override ``Observable.invert``.
     """
     if type(dynamical_map) is StandardMap and type(observable) is EmbeddingObservable:
         return partial(standard_embedding_advance, dynamical_map.k)
+    if type(observable).invert is Observable.invert:
+        raise NotImplementedError(f"{type(observable).__name__} is not invertible")
 
     def advance(values):
         return np.array([np.atleast_1d(np.asarray(

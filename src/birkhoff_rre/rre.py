@@ -52,8 +52,8 @@ SQRT2 = math.sqrt(2.0)
 
 # The ladder's exits on chaos, as (K, tau) pairs: a rung at or above K whose
 # R_G is still above tau ends the sweep unconverged.  K grows and tau does
-# not, so the last pair a rung has reached sets its bound; below the first
-# K the ladder never stops early.  scripts/exit_margins.py replays the
+# not, so the last pair a rung has reached sets its bound: exit_pair, which
+# the ladder and scripts/exit_margins.py both read.  That script replays the
 # ladder with no exit on 1910 seeds (the 610 rows of both full lines and a
 # 480-seed grid, a held-out 400 and three drawn sets of 300), each under
 # both observables.  On the rungs a pair governs, the largest R_G of a row
@@ -61,9 +61,23 @@ SQRT2 = math.sqrt(2.0)
 # 5.3e-7 (250) and 1.3e-8 (400): margins of 5.96x, 5.9x, 8.8x, 1.9x and
 # 7.5x.  The K = 50 bound was set from the 610 rows, where its margin is
 # 5.96x (grid row k = 0.5, x = 0.5, y = 5 * 0.6/39 under y); it keeps 50x
-# on the held-out 400 and 16x on the set drawn for it (drawn300).
+# on the held-out 400 and 16x on the set drawn for it (drawn300).  The
+# K = 250 bound's 1.9x is drawn300's row k = 1.0191, x = 0.0415,
+# y = 0.2109 under the embedding: R_G 5.3e-7 at K = 300, converged at 500.
 EXIT_SCHEDULE = ((50, 1.2e-3), (100, 1e-4), (150, 1e-5), (250, 1e-6), (400, 1e-7))
 SHIFT_ROWS = 32  # rows of the eliminated system moved per step (_eliminated_system)
+
+
+def exit_pair(k, schedule):
+    """The (K_i, tau_i) of ``schedule`` in force at rung K: the last with K_i <= K.
+
+    None below the first K_i, where the ladder never stops early.
+    """
+    in_force = None
+    for pair in schedule:
+        if pair[0] <= k:
+            in_force = pair
+    return in_force
 
 
 def difference_signal(trajectory):
@@ -346,27 +360,23 @@ def adaptive_solve(source, params):
     Runs ``solve_at`` for K = k_init, k_init + delta_k, ... while K <=
     k_max, reusing previously sampled orbit points (each step extends,
     never restarts, the trajectory).  The sweep stops unconverged and
-    ``stalled`` at the first rung whose R_G is above the tau of the last
-    EXIT_SCHEDULE pair it has reached: the residual has stalled, as it
-    does on chaos.  A nan R_G meets neither test and climbs on.
+    ``stalled`` at the first rung whose R_G is above the tau of the
+    EXIT_SCHEDULE pair in force there (exit_pair): the residual has
+    stalled, as it does on chaos.  A nan R_G meets neither test and
+    climbs on.
     ``params`` is a ClassifyParams, whose construction has range-checked
     every value used here.  Returns the last solution with the per-step
     history.
     """
     history = []
-    exits = iter(EXIT_SCHEDULE)
-    next_exit = next(exits, None)
-    tau = math.inf  # the bound of the last pair reached: none below the first K
     for k in range(params.k_init, params.k_max + 1, params.delta_k):
         traj, solution = solve_at(source, k, params)
         r_g = solution.scale_free_residual
         history.append((k, traj.length, solution.residual, r_g))
         if r_g <= params.delta_adapt:
             return AdaptiveResult(solution=solution, converged=True, history=history)
-        while next_exit is not None and k >= next_exit[0]:
-            tau = next_exit[1]
-            next_exit = next(exits, None)
-        if r_g > tau:
+        pair = exit_pair(k, EXIT_SCHEDULE)
+        if pair is not None and r_g > pair[1]:
             return AdaptiveResult(solution=solution, converged=False, history=history,
                                   stalled=True)
     return AdaptiveResult(solution=solution, converged=False, history=history)

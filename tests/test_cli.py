@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from birkhoff_rre import cli
-from birkhoff_rre.cli import _circle_json, _circle_text, classify_seed, figure2_errors, main
+from birkhoff_rre.cli import _circle_text, classify_seed, figure2_errors, main
 from birkhoff_rre.config import OBSERVABLES, RunConfig, load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
@@ -433,6 +433,22 @@ class TestClassifySeed:
         assert (row["class"], row["flags"]) == ("chaotic", "escape")
         assert row["N"] == 250
 
+    @pytest.mark.parametrize("observable, fits", [("y", 0), ("embedding", 1)])
+    def test_fit_only_when_the_observable_inverts(self, monkeypatch, observable, fits):
+        # y cannot be inverted, so the advance fails before any circle is fitted
+        calls = []
+        fit = cli.fit_circle
+        monkeypatch.setattr(cli, "fit_circle", lambda cls: calls.append(cls) or fit(cls))
+        seed = (0.05, 0.1)
+        row, circle = classify_seed(RunConfig(observable=observable, seeds=[seed]), seed)
+        assert row["class"] == "integrable" and row["rotation"] is not None
+        assert len(calls) == fits
+        if fits:
+            assert row["flags"] == "" and row["R_p"] < 1e-6 and circle is not None
+        else:
+            assert row["flags"] == "fit_failed:NotImplementedError"
+            assert row["R_p"] is None and circle is None
+
     def test_validation_failure_keeps_label(self, monkeypatch):
         # an advance that escapes makes validation_residual raise
         # ValidationFailure: the fit fails, the label and rotation stay
@@ -600,7 +616,7 @@ class TestClassifyCommand:
 
 
 def circle_json_reference(row, circle):
-    """The per-coefficient loop _circle_json replaced."""
+    """The circle file's payload, built one coefficient at a time."""
     coeffs = []
     d = circle.dimension
     for block in range(circle.period):
@@ -609,9 +625,19 @@ def circle_json_reference(row, circle):
             entry = circle.coefficients[mode, block * d:(block + 1) * d]
             rows.append([[float(z.real), float(z.imag)] for z in entry])
         coeffs.append(rows)
-    payload = _circle_json(row, circle)
-    payload["coefficients"] = coeffs
-    return payload
+    return {
+        "seed": [row["seed_x"], row["seed_y"]],
+        "period": circle.period,
+        "rotation": circle.rotation,
+        "L": circle.num_modes,
+        "coefficients": coeffs,
+        "residuals": {"R": row["R"], "R_G": row["R_G"], "R_p": row["R_p"]},
+        "flags": row["flags"].split("|") if row["flags"] else [],
+    }
+
+
+def reference_text(row, circle):
+    return json.dumps(circle_json_reference(row, circle), indent=1, sort_keys=True)
 
 
 class TestCircleJson:
@@ -624,14 +650,12 @@ class TestCircleJson:
             coefficients=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         row = {"seed_x": 0.05, "seed_y": 0.25, "R": 1e-12, "R_G": 2e-12, "R_p": 3e-9,
                "flags": "stacked_rational:17/47"}
-        payload = _circle_json(row, circle)
+        payload = json.loads(_circle_text(row, circle))
         assert len(payload["coefficients"]) == period
         assert payload["seed"] == [0.05, 0.25]
         assert payload["residuals"] == {"R": 1e-12, "R_G": 2e-12, "R_p": 3e-9}
         assert payload["flags"] == ["stacked_rational:17/47"]
-        expected = circle_json_reference(row, circle)
-        assert (json.dumps(payload, indent=1, sort_keys=True)
-                == json.dumps(expected, indent=1, sort_keys=True))
+        assert _circle_text(row, circle) == reference_text(row, circle)
 
     @pytest.mark.parametrize("period, num_modes, dimension, flags", [
         (1, 0, 2, ""),                                  # L = 0
@@ -646,13 +670,11 @@ class TestCircleJson:
             coefficients=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         row = {"seed_x": 0.05, "seed_y": 0.1 * 7, "R": 1e-12, "R_G": -0.0, "R_p": 3e-9,
                "flags": flags}
-        payload = _circle_json(row, circle)
-        assert _circle_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+        assert _circle_text(row, circle) == reference_text(row, circle)
         # json spells the non-finite floats NaN, Infinity and -Infinity
         circle.coefficients[0, 0] = complex(math.nan, -math.inf)
         row["R_p"] = math.inf
-        payload = _circle_json(row, circle)
-        assert _circle_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+        assert _circle_text(row, circle) == reference_text(row, circle)
 
     def test_text_of_line_circles_is_the_json_indent_encoding(self):
         # a circle, the period-2 chain and a period-3 chain of the k = 0.7 line
@@ -661,15 +683,15 @@ class TestCircleJson:
             seed = (0.05, index * (0.6 / 99))
             row, circle = classify_seed(cfg, seed)
             assert circle.period == period
-            payload = _circle_json(row, circle)
-            assert _circle_text(payload) == json.dumps(payload, indent=1, sort_keys=True)
+            assert _circle_text(row, circle) == reference_text(row, circle)
 
     def test_no_flags_is_an_empty_list(self):
         circle = FourierCircle(period=1, rotation=0.3, num_modes=0, dimension=2,
                                coefficients=np.ones((1, 2), dtype=complex))
         row = {"seed_x": 0.05, "seed_y": 0.25, "R": 1e-12, "R_G": 2e-12, "R_p": 3e-9,
                "flags": ""}
-        assert _circle_json(row, circle)["flags"] == []
+        assert json.loads(_circle_text(row, circle))["flags"] == []
+        assert _circle_text(row, circle) == reference_text(row, circle)
 
 
 class TestConvergeCommand:

@@ -18,6 +18,7 @@ from birkhoff_rre.fourier import (
     validation_residual,
 )
 from birkhoff_rre.maps import (
+    CoordinateObservable,
     EmbeddingObservable,
     StandardMap,
     Trajectory,
@@ -187,6 +188,11 @@ class TestEvalCircle:
 
 
 class TestValidation:
+    def test_advance_refuses_an_observable_without_inverse(self):
+        # raised when the advance is built, so no circle is fitted for nothing
+        with pytest.raises(NotImplementedError, match="CoordinateObservable"):
+            make_observable_advance(StandardMap(0.7), CoordinateObservable(1))
+
     def test_exact_twist_circle(self):
         cls = classify_trajectory(StandardMap(0.0), EmbeddingObservable(),
                                   (0.1, GOLDEN))

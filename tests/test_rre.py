@@ -22,6 +22,7 @@ from birkhoff_rre.maps import (
 from birkhoff_rre.rre import (
     EXIT_SCHEDULE,
     adaptive_solve,
+    exit_pair,
     build_problem,
     difference_signal,
     scale_free_residual,
@@ -428,6 +429,17 @@ class TestAdaptiveSolve:
         assert first_k == EXIT_SCHEDULE[0][0] == 50
         assert 5.9 * first_r_g <= exit_tau(50)
 
+    def test_k250_bound_spares_a_circle_whose_residual_rises(self):
+        # drawn300 row (scripts/exit_margins.py) under the embedding: R_G rises
+        # to 5.29e-7 at K = 300, the largest of any converging row on the rungs
+        # the K = 250 bound governs, and the row converges at K = 500
+        cls = classify_trajectory(StandardMap(1.0190782090247277), EmbeddingObservable(),
+                                  (0.04153634780292492, 0.21087998674763814))
+        assert (cls.tag, cls.period, cls.diagnostics["K"]) == ("integrable", 1, 500)
+        governed = [r_g for k, _, _, r_g in cls.diagnostics["history"][:-1] if k >= 250]
+        assert max(governed) > 5e-7
+        assert 1.85 * max(governed) <= exit_tau(250)
+
     def test_default_run_configuration(self):
         params = ClassifyParams()
         assert params.epsilon == 0.0
@@ -477,6 +489,19 @@ class TestExitSchedule:
         params = ClassifyParams(k_init=k_exit + 10, delta_k=10, k_max=600)
         result = self.run(monkeypatch, lambda k: np.nextafter(tau, np.inf), params)
         assert result.stalled and len(result.history) == 1
+
+    def test_exit_pair_is_the_last_pair_reached(self):
+        schedule = ((100, 1e-4), (300, 1e-6))
+        assert exit_pair(99, schedule) is None
+        assert exit_pair(100, schedule) == exit_pair(299, schedule) == (100, 1e-4)
+        assert exit_pair(300, schedule) == exit_pair(10**6, schedule) == (300, 1e-6)
+        assert exit_pair(50, ()) is None
+
+    def test_ladder_reads_the_schedule_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(rre, "EXIT_SCHEDULE", ((30, 1e-9),))
+        result = self.run(monkeypatch, lambda k: 1e-8)
+        assert result.stalled
+        assert [entry[0] for entry in result.history] == [10, 20, 30]
 
     def test_no_exit_below_the_first_rung(self, monkeypatch):
         result = self.run(monkeypatch, lambda k: 1.0)

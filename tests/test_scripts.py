@@ -1,14 +1,18 @@
 """The shipped experiment configurations load to the intended runs and
-run end to end through the command line."""
+run end to end through the command line, and the exit-margin replay
+stops where the ladder does."""
 
 import configparser
+import importlib.util
 from pathlib import Path
 
 import pytest
 
+from birkhoff_rre import rre
 from birkhoff_rre.cli import main
 from birkhoff_rre.config import RunConfig, load_config
-from birkhoff_rre.spectral import ClassifyParams
+from birkhoff_rre.maps import EmbeddingObservable, StandardMap
+from birkhoff_rre.spectral import ClassifyParams, classify_trajectory
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 
@@ -82,3 +86,29 @@ def test_bad_value_exits_two(tmp_path, monkeypatch, capsys, name):
     assert main([command, path]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / EXPERIMENTS[name].table).exists()
+
+
+# (k, x, y) of seeds under the embedding: two that stall, at K = 50 and at
+# K = 250, and one that converges at its first rung
+REPLAYED = [(2.0, 0.5, 0.0), (0.7, 0.05, 45 * LINE_STEP), (0.7, 0.05, 0.1)]
+
+
+def test_exit_margins_replay_stops_where_the_ladder_does(capsys):
+    spec = importlib.util.spec_from_file_location("exit_margins", SCRIPTS / "exit_margins.py")
+    exit_margins = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(exit_margins)
+    ladders = [exit_margins.full_ladder(("embedding", seed, rre.EXIT_SCHEDULE))
+               for seed in REPLAYED]
+    for (k, x, y), (history, stop) in zip(REPLAYED, ladders):
+        cls = classify_trajectory(StandardMap(k), EmbeddingObservable(), (x, y))
+        if cls.flags == ["stalled"]:
+            assert history[stop][:2] == (cls.diagnostics["K"], cls.diagnostics["N"])
+            assert history[stop][3] == rre.exit_pair(cls.diagnostics["K"], rre.EXIT_SCHEDULE)
+        else:
+            assert cls.tag == "integrable" and stop is None
+    assert [history[stop][0] for history, stop in ladders[:2]] == [50, 250]
+    assert exit_margins.report("replayed", REPLAYED, ladders, rre.EXIT_SCHEDULE) == 0
+    text = capsys.readouterr().out
+    assert "1 converged, 2 unconverged, 0 escaped" in text
+    assert "K >=  50  tau 0.0012: no converged row has a rung here; stops 1" in text
+    assert "K >= 250  tau 1e-06: no converged row has a rung here; stops 1" in text
