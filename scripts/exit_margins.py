@@ -5,10 +5,11 @@ Run by hand from the repository root; the test suite replays only a few seeds:
     PYTHONPATH=src python3 scripts/exit_margins.py [--sets rows610,heldout400,drawn300]
         [--observables embedding,y] [--schedule 50:1.2e-3,100:1e-4,...] [--workers 2]
 
-Every seed climbs K = k_init, k_init + delta_k, ..., k_max at the default
-[algorithm] until R_G <= delta_adapt, with no exit, so each history is the
-longest the ladder can run.  A ladder with the schedule runs a prefix of
-it: the solve at K reads only the first N samples of the same orbit.
+Every seed climbs the package's ladder (rre.adaptive_solve) with no exit:
+K = k_init, k_init + delta_k, ..., k_max at the default [algorithm] until
+R_G <= delta_adapt, so each history is the longest the ladder can run.  A
+ladder with the schedule runs a prefix of it: the solve at K reads only the
+orbit's first N + 1 samples, N map evaluations, as the history counts them.
 
 For each pair (K_i, tau_i) of the schedule, over the rungs K_i <= K <
 K_{i+1}, the report gives the largest R_G of a row that later converged
@@ -32,6 +33,7 @@ The seed sets, each a list of (k, x, y):
 
 import argparse
 import concurrent.futures
+import math
 import sys
 
 from birkhoff_rre import rre  # first: the package's thread policy applies before numpy loads
@@ -81,25 +83,21 @@ SETS = ("rows610", "heldout400", "third300", "fourth300", "drawn300")
 
 
 def full_ladder(task):
-    """(K, N, R_G, rre.exit_pair) of every rung until convergence, and the index
-    of the rung ``schedule`` stops (None if none); None if the orbit escapes."""
+    """(K, N map evaluations, R_G, rre.exit_pair) of every rung of the ladder with
+    no exit, and the index of the rung ``schedule`` stops (None if none); None if
+    the orbit escapes."""
     observable, (k, x, y), schedule = task
     params = ClassifyParams()
     source = TrajectorySource(StandardMap(k), OBSERVABLES[observable](), (x, y),
                               params.escape_bound)
-    history, stop = [], None
     try:
-        for half_length in range(params.k_init, params.k_max + 1, params.delta_k):
-            trajectory, solution = rre.solve_at(source, half_length, params)
-            r_g = solution.scale_free_residual
-            pair = rre.exit_pair(half_length, schedule)
-            if stop is None and pair is not None and r_g > pair[1]:
-                stop = len(history)
-            history.append((half_length, trajectory.length, r_g, pair))
-            if r_g <= params.delta_adapt:
-                break
+        ladder = rre.adaptive_solve(source, params, schedule=())
     except OrbitEscape:
         return None
+    history = [(k_rung, n, r_g, rre.exit_pair(k_rung, schedule))
+               for k_rung, n, _, r_g in ladder.history]
+    stop = next((i for i, (_, _, r_g, pair) in enumerate(history)
+                 if pair is not None and r_g > pair[1]), None)
     return history, stop
 
 
@@ -109,7 +107,7 @@ def report(name, seeds, ladders, schedule):
     worst = dict.fromkeys(schedule, (0.0, None))
     stops = dict.fromkeys(schedule, 0)
     converged = unconverged = escaped = converged_stopped = 0
-    samples = [0, 0]  # of unconverged rows: full ladder, and under the schedule
+    evaluations = [0, 0]  # of unconverged rows: full ladder, and under the schedule
     for seed, ladder in zip(seeds, ladders):
         if ladder is None:
             escaped += 1
@@ -123,8 +121,8 @@ def report(name, seeds, ladders, schedule):
                     worst[pair] = (r_g, (seed, k))
             continue
         unconverged += 1
-        samples[0] += history[-1][1]
-        samples[1] += history[-1 if stop is None else stop][1]
+        evaluations[0] += history[-1][1]
+        evaluations[1] += history[-1 if stop is None else stop][1]
         if stop is not None:
             stops[history[stop][3]] += 1
     print(f"{name}: {len(seeds)} rows, {converged} converged, {unconverged} unconverged, "
@@ -138,14 +136,19 @@ def report(name, seeds, ladders, schedule):
             cell = (f"largest converged R_G {r_g:.3g} (k = {k:.6g}, x = {x:.6g}, "
                     f"y = {y:.6g}, K = {k_rung}), margin {tau / r_g:.3g}x")
         print(f"  K >= {k_exit:3d}  tau {tau:.3g}: {cell}; stops {stopped} unconverged rows")
-    print(f"  samples of unconverged rows: {samples[0]} with no exit, {samples[1]} "
-          f"with the schedule; converged rows stopped: {converged_stopped}")
+    print(f"  map evaluations of unconverged rows: {evaluations[0]} with no exit, "
+          f"{evaluations[1]} with the schedule; converged rows stopped: {converged_stopped}")
     return converged_stopped
 
 
 def parse_schedule(text):
+    """K:tau pairs as rre.exit_pair reads them; a ValueError makes argparse exit 2."""
     pairs = [item.split(":") for item in text.split(",")]
-    return tuple((int(k), float(tau)) for k, tau in pairs)
+    schedule = tuple((int(k), float(tau)) for k, tau in pairs)
+    ks = [k for k, _ in schedule]
+    if ks != sorted(set(ks)) or not all(0.0 < tau < math.inf for _, tau in schedule):
+        raise ValueError(f"{text!r}: the K's must strictly increase, each tau be finite > 0")
+    return schedule
 
 
 def main(argv=None):

@@ -64,10 +64,10 @@ def classify_seed(cfg, seed):
     try:
         dmap, obs = build_map(cfg), build_observable(cfg)
         cls = classify_trajectory(dmap, obs, seed, cfg.params)
-        diag = cls.diagnostics
-        row.update({"class": cls.tag, "period": cls.period, "R": diag.get("R"),
-                    "R_G": diag.get("R_G"), "K": diag.get("K"),
-                    "N": diag["N"] - 1})  # N samples, so N - 1 map evaluations
+        row.update({"class": cls.tag, "period": cls.period, "N": cls.evaluations})
+        if cls.ladder is not None:
+            filt = cls.ladder.solution
+            row.update(R=filt.residual, R_G=filt.scale_free_residual, K=filt.half_length)
         flags = list(cls.flags)
         circle = None
         if cls.tag == "integrable":

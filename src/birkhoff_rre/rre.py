@@ -114,11 +114,8 @@ class FilterSolution:
     coefficients: np.ndarray  # length 2K+1
     residual: float           # R
     scale_free_residual: float  # R_G
-    signal_scale: float       # G
     half_length: int          # K
-    window_count: int         # T
-    epsilon: float
-    fixed_point: bool = False
+    fixed_point: bool = False  # the signal's weighted energy G is 0
 
 
 def build_problem(u, half_length, window_count, epsilon=0.0):
@@ -304,10 +301,7 @@ def solve_filter(problem):
         coefficients=_unfold(d_vec, k),
         residual=residual,
         scale_free_residual=scale_free_residual(residual, eps, signal_scale),
-        signal_scale=signal_scale,
         half_length=k,
-        window_count=t,
-        epsilon=eps,
         fixed_point=(signal_scale == 0.0),
     )
 
@@ -350,32 +344,35 @@ class AdaptiveResult:
 
     solution: FilterSolution
     converged: bool
-    history: list = field(default_factory=list)  # (K, n_samples, R, R_G)
-    stalled: bool = False  # stopped by a rung of EXIT_SCHEDULE
+    history: list = field(default_factory=list)  # (K, N map evaluations, R, R_G)
+    stalled: bool = False  # stopped by a rung of the exit schedule
 
 
-def adaptive_solve(source, params):
+def adaptive_solve(source, params, schedule=None):
     """Grow the filter length until the scale-free residual R_G crosses ``delta_adapt``.
 
     Runs ``solve_at`` for K = k_init, k_init + delta_k, ... while K <=
     k_max, reusing previously sampled orbit points (each step extends,
     never restarts, the trajectory).  The sweep stops unconverged and
     ``stalled`` at the first rung whose R_G is above the tau of the
-    EXIT_SCHEDULE pair in force there (exit_pair): the residual has
-    stalled, as it does on chaos.  A nan R_G meets neither test and
-    climbs on.
+    ``schedule`` pair in force there (exit_pair): the residual has
+    stalled, as it does on chaos.  ``schedule`` is EXIT_SCHEDULE, read at
+    call time, when None; ``()`` climbs to k_max with no exit.  A nan R_G
+    meets neither test and climbs on.
     ``params`` is a ClassifyParams, whose construction has range-checked
-    every value used here.  Returns the last solution with the per-step
-    history.
+    every value used here.  Returns the last solution with the per-rung
+    history of (K, N map evaluations, R, R_G).
     """
+    if schedule is None:
+        schedule = EXIT_SCHEDULE
     history = []
     for k in range(params.k_init, params.k_max + 1, params.delta_k):
         traj, solution = solve_at(source, k, params)
         r_g = solution.scale_free_residual
-        history.append((k, traj.length, solution.residual, r_g))
+        history.append((k, traj.length - 1, solution.residual, r_g))
         if r_g <= params.delta_adapt:
             return AdaptiveResult(solution=solution, converged=True, history=history)
-        pair = exit_pair(k, EXIT_SCHEDULE)
+        pair = exit_pair(k, schedule)
         if pair is not None and r_g > pair[1]:
             return AdaptiveResult(solution=solution, converged=False, history=history,
                                   stalled=True)

@@ -12,6 +12,7 @@ top-ranked irrational frequency is the rotation number.
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -317,16 +318,19 @@ class Classification:
     tag is "chaotic", "integrable", or "indeterminate" (the residual
     converged but the rotation cannot be extracted -- no unit-circle
     roots, or a stacked signal too short to solve -- which is surfaced
-    rather than guessed).  For integrable results, ``rotation`` lies in
-    [0, 1/2] and ``fit_trajectory`` is the (stacked, for islands) signal
-    the Fourier stages should consume.
+    rather than guessed).  ``ladder`` is the rre.AdaptiveResult of the K
+    sweep, None only when the orbit escaped: its solution is the filter, its
+    history the (K, N map evaluations, R, R_G) of each rung.  For integrable
+    results, ``rotation`` lies in [0, 1/2] and ``fit_trajectory`` is the
+    (stacked, for islands) signal the Fourier stages should consume.
     """
 
     tag: str
+    ladder: object
+    evaluations: int  # map evaluations made
     period: int = None
     rotation: float = None
     fit_trajectory: object = None
-    diagnostics: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
 
 
@@ -358,44 +362,25 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
     params = params or ClassifyParams()
     source = TrajectorySource(dynamical_map, observable, x0, params.escape_bound)
     try:
-        result = adaptive_solve(source, params)
+        ladder = adaptive_solve(source, params)
     except OrbitEscape as exc:
-        return Classification(
-            tag="chaotic",
-            diagnostics={"escape_step": exc.step, "N": exc.evaluations + 1},  # samples, as below
-            flags=["escape"],
-        )
-    solution = result.solution
-    diag = {
-        "R": solution.residual,
-        "R_G": solution.scale_free_residual,
-        "G": solution.signal_scale,
-        "K": solution.half_length,
-        "T": solution.window_count,
-        "epsilon": solution.epsilon,
-        "N": source.samples_drawn,
-        "adaptive_converged": result.converged,
-        "history": result.history,
-    }
+        return Classification(tag="chaotic", ladder=None, evaluations=exc.evaluations,
+                              flags=["escape"])
     # adaptive_solve converges only on a gate value <= delta_adapt, so a
     # nan residual fails closed to chaotic; a fixed point has R_G = 0 and
     # converges.  A chaotic row never reads its orbit back
-    if not result.converged:
-        return Classification(tag="chaotic", diagnostics=diag,
-                              flags=["stalled"] if result.stalled else [])
+    if not ladder.converged:
+        return Classification(tag="chaotic", ladder=ladder, evaluations=source.samples_drawn - 1,
+                              flags=["stalled"] if ladder.stalled else [])
+    verdict = partial(Classification, ladder=ladder, evaluations=source.samples_drawn - 1)
+    solution = ladder.solution
     traj = source.take(source.samples_drawn)
     if solution.fixed_point:
-        return Classification(
-            tag="integrable", period=1, rotation=0.0, fit_trajectory=traj,
-            diagnostics=diag, flags=["fixed_point"],
-        )
+        return verdict(tag="integrable", period=1, rotation=0.0, fit_trajectory=traj,
+                       flags=["fixed_point"])
     roots = unit_circle_filter(palindromic_roots(solution.coefficients))
-    diag["n_unit_roots"] = len(roots)
-    diag["n_low_confidence_roots"] = int(np.count_nonzero(roots.low_confidence))
     if len(roots) == 0:
-        return Classification(
-            tag="indeterminate", diagnostics=diag, flags=["no_unit_circle_roots"],
-        )
+        return verdict(tag="indeterminate", flags=["no_unit_circle_roots"])
     ranking = mode_prominence(roots, traj)
     period = island_period(ranking[:ISLAND_TEST_MODES], params)
     if period > 1:
@@ -403,28 +388,17 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         traj = stack_signal(traj, period)
         shape = stacked_shape(traj.length, traj.dimension, solution.half_length // period)
         if shape is None:
-            return Classification(
-                tag="indeterminate", period=period, diagnostics=diag,
-                flags=["stacked_signal_too_short"],
-            )
+            return verdict(tag="indeterminate", period=period,
+                           flags=["stacked_signal_too_short"])
         solution = solve_from_trajectory(traj, *shape, params.epsilon)
-        diag["stacked"] = {
-            "K": shape[0], "T": shape[1],
-            "R": solution.residual,
-            "R_G": solution.scale_free_residual,
-        }
         if solution.fixed_point:
             # a periodic orbit: each island component is a single point
-            return Classification(
-                tag="integrable", period=period, rotation=0.0, fit_trajectory=traj,
-                diagnostics=diag, flags=["periodic_orbit"],
-            )
+            return verdict(tag="integrable", period=period, rotation=0.0,
+                           fit_trajectory=traj, flags=["periodic_orbit"])
         roots = unit_circle_filter(palindromic_roots(solution.coefficients))
         if len(roots) == 0:
-            return Classification(
-                tag="indeterminate", period=period, diagnostics=diag,
-                flags=["no_unit_circle_roots_stacked"],
-            )
+            return verdict(tag="indeterminate", period=period,
+                           flags=["no_unit_circle_roots_stacked"])
         ranking = mode_prominence(roots, traj)
     # a non-constant entry always exists: every entry is a unit root, and a
     # frequency <= _CONSTANT_ROOT_TOL needs a colleague eigenvalue of real
@@ -439,7 +413,5 @@ def classify_trajectory(dynamical_map, observable, x0, params=None):
         residual_rational = rational_detect(rotation, params.p_max, params.eps_rat)
         if residual_rational is not None:
             flags.append(f"stacked_rational:{residual_rational[0]}/{residual_rational[1]}")
-    return Classification(
-        tag="integrable", period=period, rotation=rotation, fit_trajectory=traj,
-        diagnostics=diag, flags=flags,
-    )
+    return verdict(tag="integrable", period=period, rotation=rotation, fit_trajectory=traj,
+                   flags=flags)

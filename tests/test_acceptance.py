@@ -139,7 +139,7 @@ def test_criterion_4_rotation_recovery():
     # (a) exact twist map at the golden rotation, filter length K = 50
     cls = classify_trajectory(StandardMap(0.0), EmbeddingObservable(), (0.1, GOLDEN))
     assert cls.tag == "integrable"
-    assert cls.diagnostics["K"] == 50
+    assert cls.ladder.solution.half_length == 50
     twist_error = abs(cls.rotation - (1.0 - GOLDEN))  # representative in [0, 1/2]
     assert twist_error <= 1e-10
     # (b) central circle: rotation stable between K = 100 and K = 200

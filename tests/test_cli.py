@@ -19,8 +19,8 @@ from birkhoff_rre.cli import _circle_text, classify_seed, figure2_errors, main
 from birkhoff_rre.config import OBSERVABLES, RunConfig, load_config
 from birkhoff_rre.errors import ConfigError
 from birkhoff_rre.fourier import FourierCircle
-from birkhoff_rre.maps import DynamicalMap, Observable
-from birkhoff_rre.spectral import ClassifyParams
+from birkhoff_rre.maps import DynamicalMap, EmbeddingObservable, Observable, StandardMap
+from birkhoff_rre.spectral import ClassifyParams, classify_trajectory
 from checks import CounterMap, IdentityObservable, NanFromObservable
 
 
@@ -422,6 +422,20 @@ class TestClassifySeed:
         assert (row["class"], row["flags"]) == ("chaotic", "stalled")
         assert (row["K"], row["N"]) == (50, 175)
         assert payload is None
+
+    @pytest.mark.parametrize("k, seed, tag, period, flags", [
+        (2.0, (0.5, 0.0), "chaotic", None, ["stalled"]),
+        (0.7, (0.05, 0.1), "integrable", 1, []),
+        (0.7, (0.05, 80 * 0.6 / 99), "integrable", 2, []),
+        (0.7, (0.0, 0.0), "integrable", 1, ["fixed_point"]),
+    ], ids=["stalled", "circle", "period_2_chain", "fixed_point"])
+    def test_n_counts_map_evaluations_everywhere(self, k, seed, tag, period, flags):
+        # the record, the ladder's last rung and the CSV's N are one number
+        cls = classify_trajectory(StandardMap(k), EmbeddingObservable(), seed)
+        assert (cls.tag, cls.period, cls.flags) == (tag, period, flags)
+        assert cls.evaluations == cls.ladder.history[-1][1]
+        row, _ = classify_seed(RunConfig(k=k, seeds=[seed]), seed)
+        assert row["N"] == cls.evaluations
 
     def test_escape_row_counts_evaluations_past_a_bad_observable(self, monkeypatch):
         # the observable turns nan at x = 100, inside the K = 50 rung (D = 1:

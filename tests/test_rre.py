@@ -424,8 +424,8 @@ class TestAdaptiveSolve:
         # margin of at least 5.9x over it (scripts/exit_margins.py)
         cls = classify_trajectory(StandardMap(0.5), CoordinateObservable(1),
                                   (0.5, 5 * (0.6 / 39)))
-        assert (cls.tag, cls.period, cls.diagnostics["K"]) == ("integrable", 1, 300)
-        first_k, _, _, first_r_g = cls.diagnostics["history"][0]
+        assert (cls.tag, cls.period, cls.ladder.solution.half_length) == ("integrable", 1, 300)
+        first_k, _, _, first_r_g = cls.ladder.history[0]
         assert first_k == EXIT_SCHEDULE[0][0] == 50
         assert 5.9 * first_r_g <= exit_tau(50)
 
@@ -435,10 +435,22 @@ class TestAdaptiveSolve:
         # the K = 250 bound governs, and the row converges at K = 500
         cls = classify_trajectory(StandardMap(1.0190782090247277), EmbeddingObservable(),
                                   (0.04153634780292492, 0.21087998674763814))
-        assert (cls.tag, cls.period, cls.diagnostics["K"]) == ("integrable", 1, 500)
-        governed = [r_g for k, _, _, r_g in cls.diagnostics["history"][:-1] if k >= 250]
+        assert (cls.tag, cls.period, cls.ladder.solution.half_length) == ("integrable", 1, 500)
+        governed = [r_g for k, _, _, r_g in cls.ladder.history[:-1] if k >= 250]
         assert max(governed) > 5e-7
         assert 1.85 * max(governed) <= exit_tau(250)
+
+    def test_empty_schedule_climbs_past_every_exit(self):
+        # the first point of the k = 2.0 chaos line stops at K = 50 under
+        # EXIT_SCHEDULE; with no schedule it climbs to k_max, every rung over
+        # the tau the schedule would have in force there
+        params = ClassifyParams()
+        source = TrajectorySource(StandardMap(2.0), EmbeddingObservable(), (0.5, 0.0))
+        result = adaptive_solve(source, params, schedule=())
+        assert not result.converged and not result.stalled
+        assert [entry[0] for entry in result.history] == list(range(50, 601, 50))
+        assert all(r_g > exit_tau(k) for k, _, _, r_g in result.history)
+        assert result.history[-1][1] == source.samples_drawn - 1 == 2100
 
     def test_default_run_configuration(self):
         params = ClassifyParams()
@@ -518,8 +530,7 @@ class TestExitSchedule:
 def gate_only_solution(half_length, r_g):
     """A FilterSolution carrying only what adaptive_solve reads."""
     return rre.FilterSolution(coefficients=np.ones(1), residual=r_g, scale_free_residual=r_g,
-                              signal_scale=1.0, half_length=half_length, window_count=1,
-                              epsilon=0.0)
+                              half_length=half_length)
 
 
 class TestStackedShape:

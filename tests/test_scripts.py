@@ -93,17 +93,23 @@ def test_bad_value_exits_two(tmp_path, monkeypatch, capsys, name):
 REPLAYED = [(2.0, 0.5, 0.0), (0.7, 0.05, 45 * LINE_STEP), (0.7, 0.05, 0.1)]
 
 
-def test_exit_margins_replay_stops_where_the_ladder_does(capsys):
+def load_exit_margins():
     spec = importlib.util.spec_from_file_location("exit_margins", SCRIPTS / "exit_margins.py")
     exit_margins = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(exit_margins)
+    return exit_margins
+
+
+def test_exit_margins_replay_stops_where_the_ladder_does(capsys):
+    exit_margins = load_exit_margins()
     ladders = [exit_margins.full_ladder(("embedding", seed, rre.EXIT_SCHEDULE))
                for seed in REPLAYED]
     for (k, x, y), (history, stop) in zip(REPLAYED, ladders):
         cls = classify_trajectory(StandardMap(k), EmbeddingObservable(), (x, y))
         if cls.flags == ["stalled"]:
-            assert history[stop][:2] == (cls.diagnostics["K"], cls.diagnostics["N"])
-            assert history[stop][3] == rre.exit_pair(cls.diagnostics["K"], rre.EXIT_SCHEDULE)
+            k_stop = cls.ladder.solution.half_length
+            assert history[stop][:2] == (k_stop, cls.evaluations)
+            assert history[stop][3] == rre.exit_pair(k_stop, rre.EXIT_SCHEDULE)
         else:
             assert cls.tag == "integrable" and stop is None
     assert [history[stop][0] for history, stop in ladders[:2]] == [50, 250]
@@ -112,3 +118,26 @@ def test_exit_margins_replay_stops_where_the_ladder_does(capsys):
     assert "1 converged, 2 unconverged, 0 escaped" in text
     assert "K >=  50  tau 0.0012: no converged row has a rung here; stops 1" in text
     assert "K >= 250  tau 1e-06: no converged row has a rung here; stops 1" in text
+
+
+@pytest.mark.parametrize("text", [
+    "100:1e-4,50:1.2e-3",   # K's out of order: exit_pair would read (50, 1.2e-3) at 150
+    "50:1.2e-3,50:1e-4",    # a K repeated
+    "50:nan",
+    "50:-1",
+    "50:0",
+    "50:1.2e-3,100:inf",
+])
+def test_exit_margins_rejects_a_malformed_schedule(capsys, text):
+    exit_margins = load_exit_margins()
+    with pytest.raises(ValueError):
+        exit_margins.parse_schedule(text)
+    with pytest.raises(SystemExit) as info:
+        exit_margins.main(["--sets", "rows610", "--schedule", text])
+    assert info.value.code == 2
+    assert "--schedule" in capsys.readouterr().err
+
+
+def test_exit_margins_reads_a_well_formed_schedule():
+    exit_margins = load_exit_margins()
+    assert exit_margins.parse_schedule("50:1.2e-3,100:1e-4") == ((50, 1.2e-3), (100, 1e-4))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoff_rre import rre
-from birkhoff_rre.errors import ContractViolation
+from birkhoff_rre import rre, spectral
+from birkhoff_rre.errors import ContractViolation, OrbitEscape
 from birkhoff_rre.maps import (
     EmbeddingObservable,
     StandardMap,
@@ -396,18 +396,21 @@ class TestClassify:
         assert cls.rotation == 0.0
         assert "periodic_orbit" in cls.flags
 
-    def test_stacked_signal_too_short(self):
+    def test_stacked_signal_too_short(self, monkeypatch):
         # line seed 7 of the k = 0.7 headline line: at eps_rat = 1e-4 a mode
         # reads as period 49 at K = 50, and the 176 samples stack into 3
+        stacked_solves = []
+        monkeypatch.setattr(spectral, "solve_from_trajectory",
+                            lambda *args: stacked_solves.append(args))
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                   (0.05, 0.042424242424242427), ClassifyParams(eps_rat=1e-4))
         assert cls.tag == "indeterminate"
         assert cls.period == 49
         assert cls.flags[-1] == "stacked_signal_too_short"
-        diag = cls.diagnostics
-        assert diag["K"] == 50 and diag["N"] == 176
-        assert diag["R_G"] <= ClassifyParams().delta_adapt
-        assert "stacked" not in diag
+        solution = cls.ladder.solution
+        assert solution.half_length == 50 and cls.evaluations == 175
+        assert solution.scale_free_residual <= ClassifyParams().delta_adapt
+        assert stacked_solves == []
 
     def test_nan_tolerance_rejected(self):
         # once classified integrable: `<= nan` never converged and
@@ -430,9 +433,9 @@ class TestClassify:
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.5, 0.05),
                                   ClassifyParams(gamma=2, k_max=200))
         assert (cls.tag, cls.flags) == ("chaotic", ["stalled"])
-        ks = [entry[0] for entry in cls.diagnostics["history"]]
+        ks = [entry[0] for entry in cls.ladder.history]
         assert ks == [50, 100, 150]
-        assert counts == [1] + [entry[1] for entry in cls.diagnostics["history"]]
+        assert counts == [1] + [entry[1] + 1 for entry in cls.ladder.history]
 
     def test_nan_gate_fails_closed(self):
         # bypasses the constructor's check, as a caller mutating params could
@@ -463,15 +466,15 @@ class TestClassify:
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.1), params)
         assert cls.tag == "chaotic"
         assert cls.flags == []
-        assert [entry[0] for entry in cls.diagnostics["history"]] == [50, 100, 150, 200]
+        assert [entry[0] for entry in cls.ladder.history] == [50, 100, 150, 200]
 
     def test_slow_converger_climbs_past_k_exit(self):
         # R_G stays below 1.3e-8 on every rung until it converges at K = 500
         # (default BLAS threads) or 550 (one thread)
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.2))
         assert (cls.tag, cls.period, cls.flags) == ("integrable", 1, [])
-        assert cls.diagnostics["K"] >= 500
-        for k, _, _, r_g in cls.diagnostics["history"]:
+        assert cls.ladder.solution.half_length >= 500
+        for k, _, _, r_g in cls.ladder.history:
             assert all(r_g <= tau for k_exit, tau in rre.EXIT_SCHEDULE if k >= k_exit)
 
     @pytest.mark.parametrize("name", ["delta_adapt", "eps_rat"])
@@ -501,7 +504,12 @@ class TestClassify:
                                   (0.3, 0.9), params)
         assert cls.tag == "chaotic"
         assert "escape" in cls.flags
-        assert "escape_step" in cls.diagnostics
+        assert cls.ladder is None
+        # the orbit escapes inside the first rung's take: K = 10, T = 15
+        with pytest.raises(OrbitEscape) as info:
+            TrajectorySource(StandardMap(4.5), EmbeddingObservable(), (0.3, 0.9),
+                             params.escape_bound).take(36)
+        assert cls.evaluations == info.value.evaluations
 
     def test_time_reversal_same_rotation(self):
         def rotation_of(trajectory):
