@@ -151,13 +151,21 @@ def parse_schedule(text):
     return schedule
 
 
+def worker_count(text):
+    """An int >= 1; a ValueError makes argparse exit 2."""
+    workers = int(text)
+    if workers < 1:
+        raise ValueError(f"{text!r}: need at least one worker")
+    return workers
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sets", default=",".join(SETS))
     parser.add_argument("--observables", default="embedding,y")
     parser.add_argument("--schedule", type=parse_schedule, default=rre.EXIT_SCHEDULE,
                         help="K:tau pairs, default rre.EXIT_SCHEDULE")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=worker_count, default=1)
     args = parser.parse_args(argv)
     names = [(s, o) for s in args.sets.split(",") for o in args.observables.split(",")]
     unknown = {s for s, _ in names} - set(SETS) | {o for _, o in names} - set(OBSERVABLES)
@@ -165,7 +173,7 @@ def main(argv=None):
         parser.error(f"unknown set or observable: {', '.join(sorted(unknown))}")
     print("schedule: " + ", ".join(f"({k}, {tau:.3g})" for k, tau in args.schedule))
     stopped = 0
-    with concurrent.futures.ProcessPoolExecutor(max(1, args.workers)) as pool:
+    with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
         run = pool.map if args.workers > 1 else map
         for s, o in names:
             seeds = seed_set(s)

@@ -31,9 +31,7 @@ class FourierCircle:
     ``coefficients`` has shape (2L+1, p*D); row l+L holds mode l, and
     the D columns starting at (j-1)*D hold island component j.  The
     rows are exactly conjugate symmetric, V_{-l} = conj(V_l), so the
-    model is real.  ``condition_estimate`` is the
-    Gershgorin upper bound on the weighted basis' condition number (see
-    condition_bound), inf when that bound fails.
+    model is real.
     """
 
     period: int
@@ -41,24 +39,6 @@ class FourierCircle:
     num_modes: int          # L
     coefficients: np.ndarray
     dimension: int          # observable dimension D of one component
-    condition_estimate: float = 0.0
-
-
-def _gamma_sums(window, omega, terms):
-    """Yield gamma_m = sum_{n=1}^{m} |eta_n| for m = 1 .. terms.
-
-    eta_n = sum_{t=0}^{window} w_{t,window+1} e^{2 pi i omega n t} are the
-    off-diagonal entries of the projection's Toeplitz normal matrix; the
-    phases advance by repeated multiplication.
-    """
-    w = bump_weights(window + 1)
-    base = np.exp(2j * math.pi * omega * np.arange(window + 1))
-    phase = np.ones(window + 1, dtype=complex)
-    acc = 0.0
-    for _ in range(terms):
-        phase = phase * base
-        acc += abs(np.dot(w, phase))
-        yield acc
 
 
 def choose_num_modes(window, omega):
@@ -67,36 +47,27 @@ def choose_num_modes(window, omega):
     The normal matrix of the mode projection is Toeplitz with entries
     eta_n = sum_{t=0}^{window} w_{t,window+1} e^{2 pi i omega n t}, so
     gamma_L = sum_{n=1}^{2L} |eta_n| < GAMMA_MAX bounds its condition
-    number by sqrt((1+2 gamma_L)/(1-2 gamma_L)).  Returns (L, gamma_L):
-    L >= 0 (L = 0 is a mean-only fit, with gamma_0 = 0), capped so 2L+1
-    never exceeds the sample count, and gamma_L for condition_bound, so
-    it need not sum the same terms again.
+    number by sqrt((1+2 gamma_L)/(1-2 gamma_L)).  The phases advance by
+    repeated multiplication.  Returns L >= 0 (L = 0 is a mean-only fit),
+    capped so 2L+1 never exceeds the sample count.
     """
     if window < 2:
         raise ContractViolation(f"need window >= 2, got {window}")
-    best, best_gamma = 0, 0.0
-    for n, gamma in enumerate(_gamma_sums(window, omega, 2 * ((window - 1) // 2)), 1):
+    w = bump_weights(window + 1)
+    base = np.exp(2j * math.pi * omega * np.arange(window + 1))
+    phase = np.ones(window + 1, dtype=complex)
+    best, gamma = 0, 0.0
+    for n in range(1, 2 * ((window - 1) // 2) + 1):
+        phase = phase * base
+        gamma += abs(np.dot(w, phase))
         if gamma >= GAMMA_MAX:
             break
         if n % 2 == 0:
-            best, best_gamma = n // 2, gamma
-    return best, best_gamma
+            best = n // 2
+    return best
 
 
-def condition_bound(window, omega, num_modes, gamma=None):
-    """Gershgorin bound sqrt((1+2g)/(1-2g)) for the projection at L.
-
-    ``gamma``, when given, is gamma_L from choose_num_modes; otherwise it
-    is summed here.  Returns inf when 2g >= 1, where the bound says nothing.
-    """
-    if gamma is None:
-        gamma = max(_gamma_sums(window, omega, 2 * num_modes), default=0.0)  # sums only grow
-    if 2.0 * gamma >= 1.0:
-        return math.inf
-    return math.sqrt((1.0 + 2.0 * gamma) / (1.0 - 2.0 * gamma))
-
-
-def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
+def project_circle(trajectory, omega, num_modes, period=1):
     """Weighted least-squares Fourier coefficients of the trajectory.
 
     The modes are e^{2 pi i l omega m}, |l| <= L, and rows carry the bump
@@ -105,7 +76,6 @@ def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
     l = 1..L; coefficients C_0, C_l, S_l give V_0 = C_0, V_l =
     (C_l - i S_l) / 2 and V_{-l} = conj(V_l).  For period > 1 the
     trajectory must already be the stacked signal (dimension period * D).
-    ``gamma`` is passed to condition_bound.
     """
     a = trajectory.samples
     n = a.shape[0]
@@ -142,7 +112,6 @@ def project_circle(trajectory, omega, num_modes, period=1, gamma=None):
         num_modes=l,
         coefficients=coeffs,
         dimension=a.shape[1] // period,
-        condition_estimate=condition_bound(n - 1, omega, l, gamma),
     )
 
 
@@ -233,7 +202,5 @@ def fit_circle(classification):
     traj = classification.fit_trajectory
     if traj is None:
         raise ContractViolation("classification carries no trajectory to fit")
-    num_modes, gamma = choose_num_modes(traj.length - 1, classification.rotation)
-    return project_circle(
-        traj, classification.rotation, num_modes, classification.period, gamma
-    )
+    num_modes = choose_num_modes(traj.length - 1, classification.rotation)
+    return project_circle(traj, classification.rotation, num_modes, classification.period)

@@ -1,9 +1,8 @@
 """Dynamical maps, observables, and trajectory sampling.
 
-A map is anything with a ``state_dimension`` and a deterministic
-``step``; users plug in their own (e.g. numerically integrated return
-maps) without this package shipping an integrator.  The Chirikov
-standard map is built in.
+A map is a ``DynamicalMap`` with a deterministic ``step``; users plug in
+their own (e.g. numerically integrated return maps) without this package
+shipping an integrator.  The Chirikov standard map is built in.
 """
 
 import math
@@ -43,8 +42,6 @@ class Trajectory:
 
 class DynamicalMap:
     """Interface: a deterministic discrete-time map on R^n."""
-
-    state_dimension = None
 
     def step(self, point):
         raise NotImplementedError
@@ -104,8 +101,6 @@ def standard_map_step(x, y, k):
 
 class StandardMap(DynamicalMap):
     """Chirikov standard map with stochasticity parameter ``k``."""
-
-    state_dimension = 2
 
     def __init__(self, k):
         self.k = float(k)

@@ -11,6 +11,7 @@ top-ranked irrational frequency is the rotation number.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -281,7 +282,9 @@ class ClassifyParams:
     Each field is an ``[algorithm]`` key of the run configuration, except
     ``escape_bound``, which is read from ``[map]``.  The defaults are the
     standard-map run configuration.  Construction raises
-    ``ContractViolation`` naming the first key whose value is out of range.
+    ``ContractViolation`` naming the first key whose value is out of range
+    or of the wrong type: an ``int`` key takes a Python or numpy int, a
+    ``float`` key any real number, and neither a bool.
     """
 
     epsilon: float = 0.0
@@ -297,6 +300,10 @@ class ClassifyParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            kind, noun = ((numbers.Integral, "an integer") if f.type is int
+                          else (numbers.Real, "a real number"))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ContractViolation(f"{f.name} must be {noun}, got {value!r}")
             if f.type is float and not math.isfinite(value):
                 raise ContractViolation(f"{f.name} must be finite, got {value}")
         for name in ("delta_adapt", "eps_rat", "escape_bound"):

@@ -111,8 +111,6 @@ def projection_prominences(nodes, samples):
 class CounterMap(DynamicalMap):
     """(x, y) -> (x + 1, y + 1): sample t of the orbit of (0, 0) is (t, t)."""
 
-    state_dimension = 2
-
     def step(self, point):
         return np.asarray(point, dtype=float) + 1.0
 
@@ -121,8 +119,8 @@ class IdentityObservable(Observable):
     """The state itself, to read raw orbits (the package offers only smooth
     observables, and the angle x jumps where it wraps)."""
 
-    def __init__(self, state_dimension=2):
-        self.output_dimension = state_dimension
+    def __init__(self, dimension=2):
+        self.output_dimension = dimension
 
     def evaluate(self, point):
         return np.asarray(point, dtype=float).copy()

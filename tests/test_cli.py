@@ -104,8 +104,6 @@ class HalvingMap(DynamicalMap):
     """(x, y) -> (x/2, y/2): every orbit decays geometrically to the origin,
     so the converged filter has no root on the unit circle."""
 
-    state_dimension = 2
-
     def step(self, point):
         return np.asarray(point, dtype=float) / 2.0
 
@@ -115,8 +113,6 @@ class FlipHalvingMap(DynamicalMap):
     while u decays to 0, so the stacked signal of that chain decays and
     its filter has no root on the unit circle."""
 
-    state_dimension = 2
-
     def step(self, point):
         s, u = np.asarray(point, dtype=float)
         return np.array([-s, u / 2.0])
@@ -125,8 +121,6 @@ class FlipHalvingMap(DynamicalMap):
 class DriftMap(DynamicalMap):
     """(x, y) -> (x, y + 1): from y = 0, the orbit leaves an escape bound b
     at step floor(b) + 1."""
-
-    state_dimension = 2
 
     def step(self, point):
         return np.asarray(point, dtype=float) + (0.0, 1.0)
@@ -140,8 +134,6 @@ class TorusRotation(DynamicalMap):
     second step moves y by 17/47, so the stacked signal's rotation is
     rational.
     """
-
-    state_dimension = 2
 
     def step(self, point):
         return np.array(((point[0] + 0.5) % 1.0, (point[1] + 17.0 / 94.0) % 1.0))
@@ -386,6 +378,33 @@ class TestConfig:
         assert len(defined) > 90
         unused = [f"{owner}.{name}" for owner, name in defined if name not in used]
         assert not unused, f"named nowhere: {unused}"
+
+    def test_every_field_is_read(self):
+        # no value that nothing reads: every dataclass field and class-level
+        # attribute of the package is loaded as an attribute (obj.name) in a
+        # package module, the benchmark probe or a script; passing it to a
+        # constructor by keyword is a write, not a read
+        root = Path(__file__).parents[1]
+        package = sorted((root / "src" / "birkhoff_rre").glob("*.py"))
+        readers = package + [root / "perfbench" / "probe.py"] + sorted(
+            (root / "scripts").glob("*.py"))
+        read = set()
+        for path in readers:
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        defined = []
+        for path in package:
+            for cls in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for item in cls.body:
+                    targets = ([item.target] if isinstance(item, ast.AnnAssign)
+                               else item.targets if isinstance(item, ast.Assign) else [])
+                    defined += [(f"{path.stem}.{cls.name}", target.id) for target in targets
+                                if isinstance(target, ast.Name)]
+        assert len(defined) > 50
+        unread = [f"{owner}.{name}" for owner, name in defined if name not in read]
+        assert not unread, f"read nowhere: {unread}"
 
 
 class TestClassifySeed:

@@ -10,7 +10,6 @@ from birkhoff_rre.fourier import (
     VALIDATION_GRID,
     FourierCircle,
     choose_num_modes,
-    condition_bound,
     eval_circle,
     fit_circle,
     make_observable_advance,
@@ -46,29 +45,18 @@ class TestChooseNumModes:
 
     def test_half_frequency_forces_mean_only(self):
         # e^{2 pi i * (1/2) * 2 t} = 1, so |eta_2| = 1 kills L >= 1
-        assert choose_num_modes(500, 0.5) == (0, 0.0)
+        assert choose_num_modes(500, 0.5) == 0
 
     def test_gamma_below_threshold(self):
         for omega in (GOLDEN, 0.1330925, 0.271):
-            level, _ = choose_num_modes(300, omega)
+            level = choose_num_modes(300, omega)
             assert toeplitz_gamma(300, omega, level) < 0.5
 
-    @pytest.mark.parametrize("window, omega", [(300, GOLDEN), (174, 0.1330925), (500, 0.5),
-                                               (1050, 0.0555549)])
-    def test_gamma_passed_on_gives_the_same_bound(self, window, omega):
-        # the gamma choose_num_modes hands on is the sum condition_bound
-        # makes, bit for bit
-        level, gamma = choose_num_modes(window, omega)
-        assert condition_bound(window, omega, level, gamma) == condition_bound(
-            window, omega, level)
-
-    def test_fit_circle_condition_estimate(self):
+    def test_fit_circle_uses_the_chosen_num_modes(self):
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.05, 0.1))
         circle = fit_circle(cls)
         window = cls.fit_trajectory.length - 1
-        assert circle.num_modes == choose_num_modes(window, cls.rotation)[0]
-        assert circle.condition_estimate == condition_bound(window, cls.rotation,
-                                                            circle.num_modes)
+        assert circle.num_modes == choose_num_modes(window, cls.rotation)
 
 
 class TestProjectCircle:
@@ -121,7 +109,7 @@ class TestProjectCircle:
             omega = rng.uniform(0.05, 0.45)
             n = int(rng.integers(61, 401))
             samples = rng.standard_normal((n, int(rng.choice([1, 2, 4]))))
-            l = choose_num_modes(n - 1, omega)[0]
+            l = choose_num_modes(n - 1, omega)
             circle = project_circle(Trajectory(samples), omega, l)
             modes = np.exp(2j * np.pi * omega * (np.arange(2 * l + 1) - l))
             v, rank = complex_mode_fit(modes, samples)
@@ -129,11 +117,11 @@ class TestProjectCircle:
             assert np.abs(circle.coefficients - v).max() <= 1e-10 * np.abs(v).max()
 
     def test_near_zero_frequency_condition_bound_fails(self):
-        # all 2L+1 modes nearly coincide: the Gershgorin bound fails
+        # all 2L+1 modes nearly coincide: the Gershgorin bound fails at
+        # L = 3, and already at L = 1, so the chooser keeps the mean alone
         omega = 1e-4
-        t = np.arange(60)
-        circle = project_circle(Trajectory(np.cos(2 * np.pi * omega * t)), omega, 3)
-        assert circle.condition_estimate == math.inf
+        assert toeplitz_gamma(59, omega, 3) >= 0.5
+        assert choose_num_modes(59, omega) == 0
 
     def test_too_many_modes_rejected(self):
         with pytest.raises(ContractViolation):
@@ -321,10 +309,11 @@ class TestValidation:
         for _ in range(10):
             omega = rng.uniform(0.05, 0.45)
             window = int(rng.integers(60, 300))
-            level, _ = choose_num_modes(window, omega)
+            level = choose_num_modes(window, omega)
             if level == 0:
                 continue
-            bound = condition_bound(window, omega, level)
+            gamma = toeplitz_gamma(window, omega, level)
+            bound = math.sqrt((1 + 2 * gamma) / (1 - 2 * gamma))
             n = window + 1
             modes = np.exp(2j * np.pi * omega * (np.arange(2 * level + 1) - level))
             basis = modes[None, :] ** np.arange(n)[:, None]

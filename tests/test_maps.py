@@ -103,8 +103,6 @@ class TestSampleTrajectory:
 
     def test_uses_exactly_n_minus_one_steps(self):
         class CountingMap(DynamicalMap):
-            state_dimension = 2
-
             def __init__(self):
                 self.calls = 0
 
@@ -118,8 +116,6 @@ class TestSampleTrajectory:
 
     def test_escape_reports_step(self):
         class Doubling(DynamicalMap):
-            state_dimension = 1
-
             def step(self, point):
                 return 2.0 * point
 
@@ -146,8 +142,6 @@ class TestSampleTrajectory:
     @pytest.mark.parametrize("bound", [1e6, math.inf])
     def test_non_finite_tuple_state_escapes(self, bad, bound):
         class Blowup(DynamicalMap):
-            state_dimension = 2
-
             def step(self, point):
                 return (0.0, bad)
 

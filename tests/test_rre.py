@@ -376,8 +376,6 @@ class TestAdaptiveSolve:
 
     def test_extension_checks_observable(self):
         class Counter(DynamicalMap):
-            state_dimension = 1
-
             def step(self, point):
                 return point + 1.0
 

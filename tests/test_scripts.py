@@ -141,3 +141,18 @@ def test_exit_margins_rejects_a_malformed_schedule(capsys, text):
 def test_exit_margins_reads_a_well_formed_schedule():
     exit_margins = load_exit_margins()
     assert exit_margins.parse_schedule("50:1.2e-3,100:1e-4") == ((50, 1.2e-3), (100, 1e-4))
+
+
+@pytest.mark.parametrize("text", ["0", "-3", "1.5", "two"])
+def test_exit_margins_rejects_fewer_than_one_worker(capsys, text):
+    exit_margins = load_exit_margins()
+    with pytest.raises(ValueError):
+        exit_margins.worker_count(text)
+    with pytest.raises(SystemExit) as info:
+        exit_margins.main(["--sets", "rows610", "--workers", text])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_exit_margins_reads_a_worker_count():
+    assert load_exit_margins().worker_count("2") == 2

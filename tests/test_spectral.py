@@ -490,6 +490,25 @@ class TestClassify:
         with pytest.raises(ContractViolation, match=key):
             ClassifyParams(**{key: PARAM_TYPES[key](raw)})
 
+    @pytest.mark.parametrize("key, value", [
+        ("k_init", 50.0), ("k_max", np.float64(600.0)), ("delta_k", True), ("p_max", "50"),
+        ("epsilon", True), ("gamma", "3"), ("delta_adapt", None), ("escape_bound", 1e6 + 0j),
+    ])
+    def test_wrong_type_rejected(self, key, value):
+        # a float K would fail later inside range(), a bool epsilon would
+        # regularize with 1.0, and a string gamma would raise a bare TypeError
+        with pytest.raises(ContractViolation, match=key):
+            ClassifyParams(**{key: value})
+
+    def test_numpy_int_and_int_for_float_accepted(self):
+        params = ClassifyParams(k_init=np.int64(50), k_max=np.int64(100), gamma=2)
+        seed = (0.05, 0.1)
+        cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), seed, params)
+        expected = classify_trajectory(StandardMap(0.7), EmbeddingObservable(), seed,
+                                       ClassifyParams(k_max=100, gamma=2.0))
+        assert (cls.tag, cls.rotation, cls.evaluations) == (
+            expected.tag, expected.rotation, expected.evaluations)
+
     def test_fixed_point(self):
         cls = classify_trajectory(StandardMap(0.7), EmbeddingObservable(),
                                   (0.0, 0.0))
