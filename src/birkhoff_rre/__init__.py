@@ -50,7 +50,6 @@ from .maps import (
     Trajectory,
     TrajectorySource,
     sample_trajectory,
-    standard_map_step,
 )
 from .rre import (
     AdaptiveResult,

@@ -14,6 +14,7 @@ and inherit it, so parallelism comes from the worker count alone.
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import math
 import os
@@ -143,11 +144,11 @@ def _classify_one(job):
 
 
 def _write_table(path, rows):
-    with open(path, "w") as handle:
+    with open(path, "w", newline="") as handle:
         handle.write(f"# birkhoff-rre {__version__}\n")
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(row[col]) for col in CSV_COLUMNS) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([_fmt(row[col]) for col in CSV_COLUMNS] for row in rows)
 
 
 def run_classify(cfg, out=None):
@@ -219,7 +220,7 @@ def run_average(cfg, out=None):
     out = out if out is not None else sys.stdout
     dmap, obs = build_map(cfg), build_observable(cfg)
     weights = bump_weights(cfg.n_samples)
-    dim = obs.output_dimension
+    dim = obs.evaluate(np.reshape(cfg.seeds[0], (1, -1))).shape[1]
     with open(cfg.table, "w") as handle:
         handle.write(f"# birkhoff-rre {__version__}\n")
         handle.write("seed_x,seed_y,n," + ",".join(f"avg_{i}" for i in range(dim)) + "\n")

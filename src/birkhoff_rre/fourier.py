@@ -10,13 +10,12 @@ next (and the last onto the rotated first) on a uniform grid.
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .birkhoff import bump_weights
 from .errors import ContractViolation, ValidationFailure
-from .maps import EmbeddingObservable, Observable, StandardMap, standard_embedding_advance
+from .maps import Observable
 from .numerics import least_squares_solve
 
 GAMMA_MAX = 0.5        # choose_num_modes keeps gamma_L below this
@@ -145,26 +144,16 @@ def eval_circle(circle, component, theta):
 def make_observable_advance(dynamical_map, observable):
     """One map application expressed in observable space, on a block of values.
 
-    Returns ``advance``, which sends each row of a (J, D) block of
-    observable values through observable^{-1}, the map, and the observable
-    again, and returns the (J, D) block of images, so the conjugacy is
-    checked in observable space.  The standard map with the embedding
-    observable works on the whole block (maps.standard_embedding_advance);
-    any other pair loops over ``invert``, ``step`` and ``evaluate`` per row.
-    Raises NotImplementedError here, before any circle is fitted, for an
+    Returns ``advance``, which sends a (J, D) block of observable values,
+    one per row, through ``observable.invert``, ``dynamical_map.step`` and
+    ``observable.evaluate``, one call each, and returns the (J, D) block
+    of images, so the conjugacy is checked in observable space.  Raises
+    NotImplementedError here, before any circle is fitted, for an
     observable that does not override ``Observable.invert``.
     """
-    if type(dynamical_map) is StandardMap and type(observable) is EmbeddingObservable:
-        return partial(standard_embedding_advance, dynamical_map.k)
     if type(observable).invert is Observable.invert:
         raise NotImplementedError(f"{type(observable).__name__} is not invertible")
-
-    def advance(values):
-        return np.array([np.atleast_1d(np.asarray(
-            observable.evaluate(dynamical_map.step(observable.invert(value))), dtype=float))
-            for value in values])
-
-    return advance
+    return lambda values: observable.evaluate(dynamical_map.step(observable.invert(values)))
 
 
 def validation_residual(circle, advance):

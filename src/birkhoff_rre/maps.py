@@ -2,7 +2,10 @@
 
 A map is a ``DynamicalMap`` with a deterministic ``step``; users plug in
 their own (e.g. numerically integrated return maps) without this package
-shipping an integrator.  The Chirikov standard map is built in.
+shipping an integrator.  The Chirikov standard map is built in.  Maps and
+observables work on blocks, one state or value per row, so each operation
+is written once: the orbit buffer and the validation grid call the same
+``step``, ``evaluate`` and ``invert`` as everything else.
 """
 
 import math
@@ -41,83 +44,86 @@ class Trajectory:
 
 
 class DynamicalMap:
-    """Interface: a deterministic discrete-time map on R^n."""
+    """Interface: a deterministic discrete-time map on R^n, stepped by blocks.
 
-    def step(self, point):
+    ``step`` takes an (m, n) array of states, one per row, and returns the
+    (m, n) array of their images.
+    """
+
+    def step(self, states):
         raise NotImplementedError
 
     def orbit(self, point, count, bound):
-        """The states F(point), F^2(point), ... up to F^count(point), in order.
+        """The states F(point), F^2(point), ... up to F^count(point), as an (m, n) array.
 
         Stops before the first state with a coordinate that is non-finite
-        or above ``bound`` in magnitude, so fewer than ``count`` states
-        mean the orbit escaped at the next step.  This default loops over
-        ``step``; a map may override it with a faster loop giving the same
-        states.
+        or above ``bound`` in magnitude, so fewer than ``count`` rows mean
+        the orbit escaped at the next step: (0, n) when the first step
+        escapes.  This default steps a one-row block ``count`` times, which
+        costs numpy's per-call overhead on each step; a map whose step is
+        cheap may override it with a faster loop giving the same states.
         """
-        states = []
-        for _ in range(count):
-            point = self.step(point)
-            # scalar checks on the coordinates: numpy reductions on a 2-vector
-            # cost more than the map step itself
-            coords = point.tolist() if isinstance(point, np.ndarray) else point
-            if not all(math.isfinite(c) and abs(c) <= bound for c in coords):
-                break
-            states.append(point)
+        state = np.asarray(point, dtype=float).reshape(1, -1)
+        states = np.empty((count, state.shape[1]))
+        for i in range(count):
+            state = np.asarray(self.step(state), dtype=float)
+            # scalar checks on the coordinates: numpy reductions on one row
+            # cost more than a cheap map step itself
+            if not all(math.isfinite(c) and abs(c) <= bound for c in state.ravel().tolist()):
+                return states[:i]
+            states[i] = state
         return states
 
 
 class Observable:
-    """Interface: a smooth function of the map state with values in R^D."""
+    """Interface: a smooth function of the map state with values in R^D, by blocks.
 
-    output_dimension = None
+    ``evaluate`` takes an (m, n) array of states and returns the (m, D)
+    array of their values; ``invert``, where defined, takes an (m, D)
+    array of values back to the (m, n) array of states.
+    """
 
-    def evaluate(self, point):
+    def evaluate(self, states):
         raise NotImplementedError
 
-    def evaluate_many(self, points):
-        """Rows ``evaluate(point)`` for a nonempty sequence of states, shape (m, D).
-
-        This default loops over ``evaluate``; an observable may override
-        it with a faster loop giving the same values.
-        """
-        values = np.array([self.evaluate(point) for point in points], dtype=float)
-        return values.reshape(len(points), -1)
-
-    def invert(self, value):
-        """Map an observable value back to state space, when well defined."""
+    def invert(self, values):
+        """Map observable values back to state space, when well defined."""
         raise NotImplementedError(f"{type(self).__name__} is not invertible")
 
 
-def standard_map_step(x, y, k):
-    """One step of the Chirikov standard map on the cylinder.
+def _libm(fn, *arrays):
+    """``fn`` of the math module applied elementwise, as an array.
 
-    y' = y - (k / 2pi) sin(2pi x);  x' = x + y' reduced into [0, 1).
+    numpy's own sin, cos and hypot may round differently from the C
+    library, which ``StandardMap.orbit``'s scalar loop calls through
+    ``math``.
     """
-    y_next = y - k / TWO_PI * math.sin(TWO_PI * x)
-    x_next = (x + y_next) % 1.0
-    return x_next, y_next
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
 
 
 class StandardMap(DynamicalMap):
-    """Chirikov standard map with stochasticity parameter ``k``."""
+    """Chirikov standard map with stochasticity parameter ``k``.
+
+    y' = y - (k / 2pi) sin(2pi x);  x' = x + y' reduced into [0, 1).
+    """
 
     def __init__(self, k):
         self.k = float(k)
 
-    def step(self, point):
-        x, y = standard_map_step(point[0], point[1], self.k)
-        return np.array((x, y))
+    def step(self, states):
+        x = states[:, 0]
+        y = states[:, 1] - self.k / TWO_PI * _libm(math.sin, TWO_PI * x)
+        return np.stack(((x + y) % 1.0, y), axis=1)
 
     def orbit(self, point, count, bound):
-        """DynamicalMap.orbit for the standard map, as an (m, 2) array.
+        """DynamicalMap.orbit for the standard map, in one loop over floats.
 
-        One loop over floats steps the orbit with ``standard_map_step``'s
-        arithmetic, so the states are bitwise those of ``step``; the escape
-        checks then run on the whole block.  Past an escape x is nan or in
-        [0, 1), so the loop cannot fail there, and its steps are dropped.
-        A subclass that overrides ``step`` gets the default loop over its
-        own ``step``.
+        The loop does ``step``'s arithmetic on one state at a time, so the
+        states are bitwise those of ``step``, and it avoids the per-call
+        overhead of stepping one-row blocks; the escape checks then run on
+        the whole block.  Past an escape x is nan or in [0, 1), so the loop
+        cannot fail there, and its steps are dropped.  A subclass that
+        overrides ``step`` gets the default loop over its own ``step``.
         """
         if type(self).step is not StandardMap.step:
             return super().orbit(point, count, bound)
@@ -134,22 +140,6 @@ class StandardMap(DynamicalMap):
         return states if inside.all() else states[:np.argmin(inside)]
 
 
-def _libm(fn, *arrays):
-    """``fn`` of the math module applied elementwise, as an array.
-
-    numpy's own sin, cos and hypot may round differently from the C
-    library that the scalar methods call through ``math``.
-    """
-    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
-
-
-def _embed(x, y):
-    """EmbeddingObservable.evaluate of the states (x, y), one row each, bitwise."""
-    angle = TWO_PI * x
-    r = y + 0.5
-    return np.stack((r * _libm(math.cos, angle), r * _libm(math.sin, angle)), axis=1)
-
-
 class EmbeddingObservable(Observable):
     """Smooth embedding of the cylinder T x R into the plane.
 
@@ -157,58 +147,28 @@ class EmbeddingObservable(Observable):
     y > -0.5, which covers the regions of interest of the standard map.
     """
 
-    output_dimension = 2
+    def evaluate(self, states):
+        angle = TWO_PI * states[:, 0]
+        r = states[:, 1] + 0.5
+        return np.stack((r * _libm(math.cos, angle), r * _libm(math.sin, angle)), axis=1)
 
-    def evaluate(self, point):
-        x, y = point[0], point[1]
-        r = y + 0.5
-        ang = TWO_PI * x
-        return np.array((r * math.cos(ang), r * math.sin(ang)))
-
-    def evaluate_many(self, points):
-        """Observable.evaluate_many on whole arrays, bitwise ``evaluate``'s."""
-        if type(self).evaluate is not EmbeddingObservable.evaluate:
-            return super().evaluate_many(points)
-        points = np.asarray(points, dtype=float)  # or a list of states from a map's step
-        return _embed(points[:, 0], points[:, 1])
-
-    def invert(self, value):
-        u, v = value[0], value[1]
-        r = math.hypot(u, v)
-        if r <= 0.0:
+    def invert(self, values):
+        u, v = values[:, 0], values[:, 1]
+        r = _libm(math.hypot, u, v)
+        if np.any(r <= 0.0):
             raise ContractViolation("embedding not invertible at the origin")
-        x = (math.atan2(v, u) / TWO_PI) % 1.0
-        return np.array((x, r - 0.5))
-
-
-def standard_embedding_advance(k, values):
-    """EmbeddingObservable.invert, one StandardMap(k) step and evaluate, per row.
-
-    ``values`` is a (J, 2) block of observable values; returns the (J, 2)
-    block of their images, each row bitwise the composition of the three
-    methods: the same operations on whole arrays, with ``math`` for the
-    transcendental ones.
-    """
-    u, v = values[:, 0], values[:, 1]
-    r = _libm(math.hypot, u, v)
-    if np.any(r <= 0.0):
-        raise ContractViolation("embedding not invertible at the origin")
-    x = (_libm(math.atan2, v, u) / TWO_PI) % 1.0
-    y = r - 0.5
-    y = y - k / TWO_PI * _libm(math.sin, TWO_PI * x)
-    return _embed((x + y) % 1.0, y)
+        x = (_libm(math.atan2, v, u) / TWO_PI) % 1.0
+        return np.stack((x, r - 0.5), axis=1)
 
 
 class CoordinateObservable(Observable):
     """Project out a single state coordinate (D = 1)."""
 
-    output_dimension = 1
-
     def __init__(self, index):
         self.index = int(index)
 
-    def evaluate(self, point):
-        return np.array((float(point[self.index]),))
+    def evaluate(self, states):
+        return states[:, [self.index]]
 
 
 class TrajectorySource:
@@ -217,7 +177,8 @@ class TrajectorySource:
     ``take(n)`` returns the first n samples, stepping the map only past
     those already drawn, so ``samples_drawn`` - 1 map evaluations were
     made.  Each take makes one ``orbit`` call on the map and one
-    ``evaluate_many`` call on the observable.  The samples live in one
+    ``evaluate`` call on the observable, and the first take one more
+    ``evaluate`` call, for the first sample.  The samples live in one
     buffer that doubles when a take outgrows it; a returned trajectory
     views rows no later take writes.
     ``take`` raises OrbitEscape (with the offending step index and the
@@ -249,7 +210,7 @@ class TrajectorySource:
         if n <= have:
             return Trajectory(self._buffer[:n])
         if have == 0:
-            self._buffer = np.array(self.observable.evaluate(point), dtype=float, ndmin=2)
+            self._buffer = np.array(self.observable.evaluate(point.reshape(1, -1)), dtype=float)
         filled = max(have, 1)  # buffer rows holding samples
         if n > self._buffer.shape[0]:
             grown = np.empty((max(n, 2 * self._buffer.shape[0]), self._buffer.shape[1]))
@@ -258,7 +219,7 @@ class TrajectorySource:
         states = self.dynamical_map.orbit(point, n - filled, self.escape_bound)
         stop = filled + len(states)  # first step not drawn: n, or the escaping step
         if stop > filled:
-            self._buffer[filled:stop] = self.observable.evaluate_many(states)
+            self._buffer[filled:stop] = self.observable.evaluate(states)
             point = states[-1]
         if stop < n:
             # an earlier non-finite observable in this take escaped first

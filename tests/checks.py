@@ -111,35 +111,31 @@ def projection_prominences(nodes, samples):
 class CounterMap(DynamicalMap):
     """(x, y) -> (x + 1, y + 1): sample t of the orbit of (0, 0) is (t, t)."""
 
-    def step(self, point):
-        return np.asarray(point, dtype=float) + 1.0
+    def step(self, states):
+        return states + 1.0
 
 
 class IdentityObservable(Observable):
     """The state itself, to read raw orbits (the package offers only smooth
     observables, and the angle x jumps where it wraps)."""
 
-    def __init__(self, dimension=2):
-        self.output_dimension = dimension
-
-    def evaluate(self, point):
-        return np.asarray(point, dtype=float).copy()
+    def evaluate(self, states):
+        return states.copy()
 
 
 class NanFromObservable(Observable):
     """x, or nan once x >= ``threshold`` (D = 1)."""
 
-    output_dimension = 1
-
     def __init__(self, threshold):
         self.threshold = threshold
 
-    def evaluate(self, point):
-        return np.array((point[0] if point[0] < self.threshold else math.nan,))
+    def evaluate(self, states):
+        x = states[:, [0]]
+        return np.where(x < self.threshold, x, math.nan)
 
 
 def standard_map_inverse_step(x, y, k):
-    """Inverse of ``maps.standard_map_step``."""
+    """Inverse of the standard map's step, for one state (x, y)."""
     x_prev = (x - y) % 1.0
     y_prev = y + k / TWO_PI * math.sin(TWO_PI * x_prev)
     return x_prev, y_prev
@@ -255,7 +251,8 @@ def unfold_root(x):
 
 
 def reference_samples(dynamical_map, observable, x0, n, escape_bound):
-    """The first n samples of the orbit, one ``step`` and ``evaluate`` per sample.
+    """The first n samples of the orbit, one ``step`` and ``evaluate`` of a
+    one-row block per sample.
 
     The reference for ``TrajectorySource.take`` from an empty source: a
     coordinate that is non-finite or above ``escape_bound`` at step i raises
@@ -263,16 +260,15 @@ def reference_samples(dynamical_map, observable, x0, n, escape_bound):
     earlier; that raises at its own step, with i evaluations, or n - 1 when
     the coordinates never escaped.
     """
-    point = np.asarray(x0, dtype=float)
-    rows = [np.atleast_1d(np.asarray(observable.evaluate(point), dtype=float))]
+    point = np.asarray(x0, dtype=float).reshape(1, -1)
+    rows = [observable.evaluate(point)[0]]
     evaluations = n - 1
     for i in range(1, n):
-        point = dynamical_map.step(point)
-        coords = np.asarray(point, dtype=float)
-        if not (np.all(np.isfinite(coords)) and np.all(np.abs(coords) <= escape_bound)):
+        point = np.asarray(dynamical_map.step(point), dtype=float)
+        if not (np.all(np.isfinite(point)) and np.all(np.abs(point) <= escape_bound)):
             evaluations = i
             break
-        rows.append(np.atleast_1d(np.asarray(observable.evaluate(point), dtype=float)))
+        rows.append(observable.evaluate(point)[0])
     for step, row in enumerate(rows):
         if not np.all(np.isfinite(row)):
             raise OrbitEscape(f"observable non-finite at step {step}", step=step,
@@ -284,11 +280,10 @@ def reference_samples(dynamical_map, observable, x0, n, escape_bound):
 
 
 def point_advance(dynamical_map, observable):
-    """One map step in observable space for a single value (D,)."""
+    """One map step in observable space for a single value (D,), as a one-row block."""
     def advance(value):
-        state = observable.invert(value)
-        return np.atleast_1d(
-            np.asarray(observable.evaluate(dynamical_map.step(state)), dtype=float))
+        state = observable.invert(np.reshape(value, (1, -1)))
+        return observable.evaluate(dynamical_map.step(state))[0]
 
     return advance
 

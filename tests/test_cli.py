@@ -1,5 +1,6 @@
 import ast
 import configparser
+import csv
 import importlib.util
 import io
 import json
@@ -104,8 +105,8 @@ class HalvingMap(DynamicalMap):
     """(x, y) -> (x/2, y/2): every orbit decays geometrically to the origin,
     so the converged filter has no root on the unit circle."""
 
-    def step(self, point):
-        return np.asarray(point, dtype=float) / 2.0
+    def step(self, states):
+        return states / 2.0
 
 
 class FlipHalvingMap(DynamicalMap):
@@ -113,17 +114,16 @@ class FlipHalvingMap(DynamicalMap):
     while u decays to 0, so the stacked signal of that chain decays and
     its filter has no root on the unit circle."""
 
-    def step(self, point):
-        s, u = np.asarray(point, dtype=float)
-        return np.array([-s, u / 2.0])
+    def step(self, states):
+        return states * (-1.0, 0.5)
 
 
 class DriftMap(DynamicalMap):
     """(x, y) -> (x, y + 1): from y = 0, the orbit leaves an escape bound b
     at step floor(b) + 1."""
 
-    def step(self, point):
-        return np.asarray(point, dtype=float) + (0.0, 1.0)
+    def step(self, states):
+        return states + (0.0, 1.0)
 
 
 class TorusRotation(DynamicalMap):
@@ -135,22 +135,20 @@ class TorusRotation(DynamicalMap):
     rational.
     """
 
-    def step(self, point):
-        return np.array(((point[0] + 0.5) % 1.0, (point[1] + 17.0 / 94.0) % 1.0))
+    def step(self, states):
+        return (states + (0.5, 17.0 / 94.0)) % 1.0
 
 
 class TorusObservable(Observable):
     """(x, y) -> (cos 2pi x, sin 2pi x, cos 2pi y / 2, sin 2pi y / 2), invertible."""
 
-    output_dimension = 4
+    def evaluate(self, states):
+        x, y = 2.0 * math.pi * states[:, 0], 2.0 * math.pi * states[:, 1]
+        return np.stack((np.cos(x), np.sin(x), 0.5 * np.cos(y), 0.5 * np.sin(y)), axis=1)
 
-    def evaluate(self, point):
-        x, y = 2.0 * math.pi * point[0], 2.0 * math.pi * point[1]
-        return np.array((math.cos(x), math.sin(x), 0.5 * math.cos(y), 0.5 * math.sin(y)))
-
-    def invert(self, value):
-        return np.array([(math.atan2(s, c) / (2.0 * math.pi)) % 1.0
-                         for c, s in (value[:2], value[2:])])
+    def invert(self, values):
+        # columns (cos, sin) of x, then of y
+        return (np.arctan2(values[:, 1::2], values[:, ::2]) / (2.0 * math.pi)) % 1.0
 
 
 # (flag, class, k, observable, seed, ClassifyParams overrides): each case
@@ -646,6 +644,26 @@ class TestClassifyCommand:
         rows = [line.split(",") for line in read_body(table).splitlines()[1:]]
         assert all(row[2] == "error" for row in rows)
         assert all("synthetic failure" in row[10] for row in rows)
+
+    def test_error_message_is_csv_quoted(self, tmp_path, monkeypatch):
+        # a comma, a quote or a newline in the message stays inside one field
+        table = tmp_path / "out.csv"
+        cfg = write_config(tmp_path / "run.ini", BASE.format(table=table))
+        message = 'Unable to allocate 8.94 GiB for an array with shape (20001, 60000)\n"x"'
+
+        def boom(*args, **kwargs):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(cli, "classify_trajectory", boom)
+        assert main(["classify", cfg]) == 3
+        with open(table, newline="") as handle:
+            assert handle.readline().startswith("# birkhoff-rre")
+            rows = list(csv.reader(handle))
+        assert rows[0] == list(cli.CSV_COLUMNS)
+        assert len(rows) == 4
+        for row in rows[1:]:
+            assert len(row) == 11
+            assert row[2] == "error" and row[10] == f"RuntimeError:{message}"
 
 
 def circle_json_reference(row, circle):

@@ -13,7 +13,6 @@ from birkhoff_rre.maps import (
     Trajectory,
     TrajectorySource,
     sample_trajectory,
-    standard_map_step,
 )
 from checks import (CounterMap, IdentityObservable, NanFromObservable, reference_samples,
                     standard_map_inverse_step)
@@ -22,31 +21,37 @@ finite_coords = st.floats(min_value=-10.0, max_value=10.0,
                           allow_nan=False, allow_infinity=False)
 
 
+def one_step(x, y, k):
+    """StandardMap(k).step of the one-row block (x, y), as a pair of floats."""
+    x_next, y_next = StandardMap(k).step(np.array([[x, y]]))[0].tolist()
+    return x_next, y_next
+
+
 class TestStandardMapStep:
     def test_origin_fixed_point(self):
-        assert standard_map_step(0.0, 0.0, 0.7) == (0.0, 0.0)
+        assert one_step(0.0, 0.0, 0.7) == (0.0, 0.0)
 
     def test_half_fixed_point(self):
-        x, y = standard_map_step(0.5, 0.0, 0.7)
+        x, y = one_step(0.5, 0.0, 0.7)
         assert x == 0.5
         assert abs(y) < 1e-16
 
     def test_zero_k_twist(self):
-        x, y = standard_map_step(0.1, 0.25, 0.0)
+        x, y = one_step(0.1, 0.25, 0.0)
         assert math.isclose(x, 0.35, abs_tol=1e-15)
         assert y == 0.25
 
     def test_wraps_into_unit_interval(self):
-        x, _ = standard_map_step(0.9, 0.8, 0.3)
+        x, _ = one_step(0.9, 0.8, 0.3)
         assert 0.0 <= x < 1.0
-        x, _ = standard_map_step(0.1, -0.9, 0.3)
+        x, _ = one_step(0.1, -0.9, 0.3)
         assert 0.0 <= x < 1.0
 
     @given(st.floats(0.0, 1.0, exclude_max=True), finite_coords,
            st.floats(0.0, 2.0))
     @settings(max_examples=200)
     def test_inverse_recovers(self, x, y, k):
-        xn, yn = standard_map_step(x, y, k)
+        xn, yn = one_step(x, y, k)
         xb, yb = standard_map_inverse_step(xn, yn, k)
         # compare on the circle: 0 and 1 - eps are neighbours
         dx = min(abs(xb - x), 1.0 - abs(xb - x))
@@ -56,20 +61,18 @@ class TestStandardMapStep:
 
 class TestEmbeddingObservable:
     def test_basic_points(self):
-        obs = EmbeddingObservable()
-        assert np.allclose(obs.evaluate((0.0, 0.0)), [0.5, 0.0], atol=1e-15)
-        assert np.allclose(obs.evaluate((0.25, 0.5)), [0.0, 1.0], atol=1e-15)
-        assert np.allclose(obs.evaluate((0.5, -0.5)), [0.0, 0.0], atol=1e-15)
+        values = EmbeddingObservable().evaluate(np.array([[0.0, 0.0], [0.25, 0.5], [0.5, -0.5]]))
+        assert np.allclose(values, [[0.5, 0.0], [0.0, 1.0], [0.0, 0.0]], atol=1e-15)
 
     def test_invert_roundtrip(self):
         obs = EmbeddingObservable()
-        point = np.array((0.37, 0.21))
-        back = obs.invert(obs.evaluate(point))
-        assert np.allclose(back, point, atol=1e-14)
+        points = np.array([[0.37, 0.21]])
+        back = obs.invert(obs.evaluate(points))
+        assert np.allclose(back, points, atol=1e-14)
 
     def test_invert_origin_rejected(self):
         with pytest.raises(ContractViolation):
-            EmbeddingObservable().invert((0.0, 0.0))
+            EmbeddingObservable().invert(np.array([[0.3, 0.2], [0.0, 0.0]]))
 
 
 class TestSampleTrajectory:
@@ -84,15 +87,15 @@ class TestSampleTrajectory:
 
     def test_matches_direct_composition(self):
         traj = sample_trajectory(StandardMap(0.7), IdentityObservable(), (0.1, 0.0), 3)
-        x1, y1 = standard_map_step(0.1, 0.0, 0.7)
-        x2, y2 = standard_map_step(x1, y1, 0.7)
+        x1, y1 = one_step(0.1, 0.0, 0.7)
+        x2, y2 = one_step(x1, y1, 0.7)
         assert np.allclose(traj.samples[1], [x1, y1], atol=1e-15)
         assert np.allclose(traj.samples[2], [x2, y2], atol=1e-15)
 
     def test_first_sample_is_observable_of_seed(self):
         obs = EmbeddingObservable()
         traj = sample_trajectory(StandardMap(0.9), obs, (0.3, 0.4), 2)
-        assert np.array_equal(traj.samples[0], obs.evaluate((0.3, 0.4)))
+        assert np.array_equal(traj.samples[0], obs.evaluate(np.array([[0.3, 0.4]]))[0])
 
     @given(st.floats(0.0, 1.0, exclude_max=True),
            st.floats(-0.8, 0.8), st.integers(2, 40))
@@ -106,9 +109,9 @@ class TestSampleTrajectory:
             def __init__(self):
                 self.calls = 0
 
-            def step(self, point):
+            def step(self, states):
                 self.calls += 1
-                return point
+                return states
 
         counting = CountingMap()
         sample_trajectory(counting, IdentityObservable(), (0.0, 0.0), 7)
@@ -116,22 +119,22 @@ class TestSampleTrajectory:
 
     def test_escape_reports_step(self):
         class Doubling(DynamicalMap):
-            def step(self, point):
-                return 2.0 * point
+            def step(self, states):
+                return 2.0 * states
 
         with pytest.raises(OrbitEscape) as info:
-            sample_trajectory(Doubling(), IdentityObservable(1), (1.0,), 100,
+            sample_trajectory(Doubling(), IdentityObservable(), (1.0,), 100,
                               escape_bound=16.0)
         assert info.value.step == 5  # 2^5 = 32 > 16
 
     def test_tuple_and_list_states(self):
         class TupleStandardMap(StandardMap):
-            def step(self, point):
-                return standard_map_step(point[0], point[1], self.k)
+            def step(self, states):
+                return tuple(map(tuple, super().step(states)))
 
         class ListStandardMap(StandardMap):
-            def step(self, point):
-                return list(standard_map_step(point[0], point[1], self.k))
+            def step(self, states):
+                return super().step(states).tolist()
 
         expected = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.2), 50)
         for dmap in (TupleStandardMap(0.7), ListStandardMap(0.7)):
@@ -142,8 +145,8 @@ class TestSampleTrajectory:
     @pytest.mark.parametrize("bound", [1e6, math.inf])
     def test_non_finite_tuple_state_escapes(self, bad, bound):
         class Blowup(DynamicalMap):
-            def step(self, point):
-                return (0.0, bad)
+            def step(self, states):
+                return ((0.0, bad),)
 
         with pytest.raises(OrbitEscape) as info:
             sample_trajectory(Blowup(), IdentityObservable(), (0.0, 0.0), 10,
@@ -196,8 +199,8 @@ class TestTrajectorySource:
 
 
 class TestBulkOrbit:
-    """TrajectorySource draws through DynamicalMap.orbit and
-    Observable.evaluate_many; the result must be the per-step loop's."""
+    """TrajectorySource draws through DynamicalMap.orbit and one
+    Observable.evaluate per take; the result must be the per-step loop's."""
 
     @pytest.mark.parametrize("y0", [0.0, 0.1, 0.2606, 0.3758, 0.5576])
     def test_take_equals_per_step_loop(self, y0):
@@ -212,18 +215,12 @@ class TestBulkOrbit:
         assert source.samples_drawn == 1401
 
     def test_orbit_states_equal_step(self):
+        # one step of the block of all 500 previous states gives the orbit
         smap = StandardMap(0.9716)
         point = np.array((0.3, 0.45))
         states = smap.orbit(point, 500, 1e6)
-        for row in states:
-            point = smap.step(point)
-            assert np.array_equal(row, point)
-
-    def test_evaluate_many_equals_evaluate(self):
-        obs = EmbeddingObservable()
-        states = StandardMap(0.7).orbit((0.05, 0.2), 300, 1e6)
-        assert np.array_equal(obs.evaluate_many(states),
-                              np.array([obs.evaluate(state) for state in states]))
+        assert states.shape == (500, 2)
+        assert np.array_equal(smap.step(np.vstack([point, states[:-1]])), states)
 
     def test_standard_map_escape_matches_reference(self):
         # at k = 2.0 the orbit of (0.5, 0.0) leaves |y| <= 2 at step 215
@@ -255,31 +252,25 @@ class TestBulkOrbit:
                                                              ref.value.evaluations)
 
     def test_user_map_runs_through_default_orbit(self):
-        # CounterMap and NanFromObservable override neither bulk method
         assert "orbit" not in vars(CounterMap)
-        assert "evaluate_many" not in vars(NanFromObservable)
         source = TrajectorySource(CounterMap(), NanFromObservable(math.inf), (0.0, 0.0))
         assert np.array_equal(source.take(7).samples[:, 0], np.arange(7.0))
 
     def test_subclass_overrides_are_used(self):
-        # subclasses of the built-in pair with their own step or evaluate get
-        # the default bulk loops, which call those methods once per sample
+        # a subclass of the standard map with its own step gets the default
+        # orbit loop, which calls that step once per sample
         class CountingStandardMap(StandardMap):
             calls = 0
 
-            def step(self, point):
+            def step(self, states):
                 self.calls += 1
-                return super().step(point)
-
-        class ShiftedEmbedding(EmbeddingObservable):
-            def evaluate(self, point):
-                return super().evaluate(point) + 1.0
+                return super().step(states)
 
         counting = CountingStandardMap(0.7)
-        traj = sample_trajectory(counting, ShiftedEmbedding(), (0.1, 0.2), 40)
+        traj = sample_trajectory(counting, EmbeddingObservable(), (0.1, 0.2), 40)
         assert counting.calls == 39
         expected = sample_trajectory(StandardMap(0.7), EmbeddingObservable(), (0.1, 0.2), 40)
-        assert np.array_equal(traj.samples, expected.samples + 1.0)
+        assert np.array_equal(traj.samples, expected.samples)
 
 
 class TestTrajectory:

@@ -376,14 +376,13 @@ class TestAdaptiveSolve:
 
     def test_extension_checks_observable(self):
         class Counter(DynamicalMap):
-            def step(self, point):
-                return point + 1.0
+            def step(self, states):
+                return states + 1.0
 
         class NanFromStep(Observable):
-            output_dimension = 1
-
-            def evaluate(self, point):
-                return np.array((np.nan if point[0] >= 30 else point[0],))
+            def evaluate(self, states):
+                x = states[:, [0]]
+                return np.where(x >= 30, np.nan, x)
 
         source = TrajectorySource(Counter(), NanFromStep(), (0.0,))
         assert np.array_equal(source.take(10).samples[:, 0], np.arange(10.0))
